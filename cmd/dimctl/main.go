@@ -196,10 +196,9 @@ func printPaths(w io.Writer, label string, paths []string, start time.Time) {
 
 // scenarioCmd implements `dimctl scenario list|run|export|mega`. Scenarios
 // with a scheduler block route through the fleetsched cross-machine engine
-// (their default placement policy); plain fleets use the independent
-// per-machine path, or the batched shared-propagator engine under -batched.
-// `mega` tiles the fleet out to -machines and prints the summary. Flags are
-// also accepted after the scenario names.
+// (their default placement policy); plain fleets run through the scenario
+// engine. `mega` tiles the fleet out to -machines and prints the summary.
+// Flags are also accepted after the scenario names.
 func scenarioCmd(args []string, scale dimetrodon.Scale, outDir string, stdout, stderr io.Writer) int {
 	if len(args) == 0 {
 		fmt.Fprintln(stderr, "dimctl: scenario requires a subcommand: list, run, export or mega")
@@ -212,7 +211,6 @@ func scenarioCmd(args []string, scale dimetrodon.Scale, outDir string, stdout, s
 	trailingJobs := trailing.Int("jobs", 0, "parallel trial workers")
 	trailingOut := trailing.String("out", outDir, "output directory for export")
 	trailingInteg := trailing.String("integrator", "", "thermal integrator override (exact|leap)")
-	trailingBatched := trailing.Bool("batched", false, "run plain fleets through the batched engine (shared propagators, SoA stepping); byte-identical output")
 	trailingMachines := trailing.Int("machines", 1_000_000, "tiled fleet size for `scenario mega`")
 	if len(rest) > 0 {
 		if err := trailing.Parse(rest); err != nil {
@@ -269,8 +267,6 @@ func scenarioCmd(args []string, scale dimetrodon.Scale, outDir string, stdout, s
 			var err error
 			if s, _ := dimetrodon.LookupScenario(name); s != nil && s.Scheduler != nil {
 				rendered, err = dimetrodon.RunSchedScenario(name, "", scale)
-			} else if *trailingBatched {
-				rendered, err = dimetrodon.RunScenarioBatched(name, scale)
 			} else {
 				rendered, err = dimetrodon.RunScenario(name, scale)
 			}
@@ -289,11 +285,7 @@ func scenarioCmd(args []string, scale dimetrodon.Scale, outDir string, stdout, s
 		}
 		for _, name := range targets {
 			start := time.Now()
-			export := dimetrodon.ExportScenario
-			if *trailingBatched {
-				export = dimetrodon.ExportScenarioBatched
-			}
-			paths, err := export(name, scale, outDir)
+			paths, err := dimetrodon.ExportScenario(name, scale, outDir)
 			if err != nil {
 				fmt.Fprintf(stderr, "dimctl: exporting scenario %s: %v\n", name, err)
 				return 1
@@ -468,8 +460,8 @@ func schedCmd(args []string, scale dimetrodon.Scale, outDir string, stdout, stde
 }
 
 // boolTrailingFlags names the trailing flags that take no value token, so
-// splitFlags does not consume the argument after a bare "-batched".
-var boolTrailingFlags = map[string]bool{"batched": true, "once": true}
+// splitFlags does not consume the argument after a bare "-once".
+var boolTrailingFlags = map[string]bool{"once": true}
 
 // splitFlags partitions subcommand arguments into positional names and
 // trailing flag tokens (value-taking flags accept either "-jobs=8" or
@@ -503,7 +495,6 @@ usage:
   dimctl [-scale S] [-jobs N] [-out DIR] export <id>  write plot-ready CSVs (or "all")
   dimctl scenario list                                list fleet scenarios
   dimctl [-scale S] [-jobs N] scenario run <name>...  run fleet scenarios (or "all")
-                                                      (-batched: shared-propagator SoA engine)
   dimctl [-scale S] [-jobs N] [-out DIR] scenario export <name>...
                                                       write scenario CSVs (or "all")
   dimctl scenario mega <name>... [-machines N]        tiled mega-fleet summary (default 1M)

@@ -268,8 +268,10 @@ func RegisterScenario(s *ScenarioSpec) error { return scenario.Register(s) }
 func DecodeScenario(data []byte) (*ScenarioSpec, error) { return scenario.Decode(data) }
 
 // RunScenario executes the named registered scenario's fleet across the
-// worker pool (see SetJobs) and returns the aggregated result. Output is
-// byte-identical at any parallelism level.
+// worker pool (see SetJobs) and returns the aggregated result. Homogeneous
+// machines share compiled propagator ladders and step out of
+// structure-of-arrays slabs, and provably seed-insensitive configurations
+// simulate once per group. Output is byte-identical at any parallelism level.
 func RunScenario(name string, scale Scale) (*ScenarioResult, error) {
 	return scenario.RunByName(name, float64(scale))
 }
@@ -279,31 +281,17 @@ func RunScenarioSpec(s *ScenarioSpec, scale Scale) (*ScenarioResult, error) {
 	return scenario.Run(s, float64(scale))
 }
 
-// RunScenarioBatched executes the named registered scenario through the
-// batched fleet engine: homogeneous machines share compiled propagator
-// ladders and step out of structure-of-arrays slabs, and provably
-// seed-insensitive configurations simulate once per group. Output is
-// byte-identical to RunScenario at any -jobs setting (cmd/dimctl exposes it
-// as `scenario run -batched`).
-func RunScenarioBatched(name string, scale Scale) (*ScenarioResult, error) {
-	return scenario.RunBatchedByName(name, float64(scale))
-}
-
 // MegaScenarioResult is a tiled mega-fleet scenario run — the fleet summary
 // without the per-machine materialisation.
 type MegaScenarioResult = scenario.MegaResult
 
 // RunMegaScenario executes the named registered scenario tiled out to the
 // given fleet size (machine i replicates compiled trial i mod fleet), so a
-// million-machine summary costs one batched base-fleet run plus an
+// million-machine summary costs one base-fleet run plus an
 // index-ordered aggregation pass. cmd/dimctl exposes it as `scenario mega`.
 func RunMegaScenario(name string, machines int, scale Scale) (*MegaScenarioResult, error) {
 	return scenario.RunMegaByName(name, machines, float64(scale))
 }
-
-// BatchCacheStats reports the batched engine's cross-run dedup cache
-// counters (hits, misses, live entries).
-func BatchCacheStats() (hits, misses uint64, entries int) { return scenario.BatchCacheStats() }
 
 // ExportScenario runs the named scenario and writes its per-machine and
 // fleet-aggregate CSVs into dir. Scheduled scenarios route through the
@@ -313,16 +301,6 @@ func ExportScenario(name string, scale Scale, dir string) ([]string, error) {
 		return fleetsched.Export(name, float64(scale), dir)
 	}
 	return scenario.Export(name, float64(scale), dir)
-}
-
-// ExportScenarioBatched is ExportScenario through the batched fleet engine —
-// byte-identical files. Scheduled scenarios still route through fleetsched
-// (batching does not apply to coupled fleets).
-func ExportScenarioBatched(name string, scale Scale, dir string) ([]string, error) {
-	if s, ok := scenario.Get(name); ok && s.Scheduler != nil {
-		return fleetsched.Export(name, float64(scale), dir)
-	}
-	return scenario.ExportBatched(name, float64(scale), dir)
 }
 
 // --- Fleet scheduler (thermal-aware placement across the fleet) ---

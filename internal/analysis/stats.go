@@ -113,8 +113,8 @@ func quantileSorted(sorted []float64, p float64) float64 {
 // Kahan is a compensated (Kahan) summation accumulator. Fleet aggregation
 // folds per-machine metrics in strict index order through Kahan sums, so the
 // totals stay exact to the last bit well past a million terms and — because
-// the reduction order is fixed — identical regardless of which path
-// (per-machine, batched, or tiled mega fleet) produced the terms. The zero
+// the reduction order is fixed — identical regardless of which path (full,
+// sharded, or tiled mega fleet) produced the terms. The zero
 // value is an empty sum.
 type Kahan struct {
 	sum, c float64

@@ -238,7 +238,7 @@ type Machine struct {
 	// rngDraws counts every Uint64 drawn from the machine's RNG tree (the
 	// root and all Split descendants). A zero count after construction
 	// proves a configuration's dynamics are seed-insensitive, which the
-	// batched fleet path uses to replicate one simulated result across
+	// scenario engine uses to replicate one simulated result across
 	// seeds.
 	rngDraws uint64
 }

@@ -9,9 +9,9 @@
 // Every instrument reads only the wall clock and values the instrumented
 // code already computed on its silent path — never a thermal flush, an
 // energy read, or any other measurement the unobserved run would not
-// perform. Enabling all of it therefore leaves every golden, scenario and
-// batched export byte-identical to the disabled path; the equivalence suite
-// in internal/scenario pins exactly that.
+// perform. Enabling all of it therefore leaves every golden and scenario
+// export byte-identical to the disabled path; the non-perturbation test in
+// internal/scenario pins exactly that.
 //
 // Disabled-cost matters as much: the profiler's fast path is one atomic
 // load, a nil *Tracer no-ops every span call, and no instrument sits inside

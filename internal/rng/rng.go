@@ -56,7 +56,7 @@ func (r *Source) Split() *Source {
 
 // Instrument attaches a draw counter to r and every generator later Split
 // from it: each Uint64 (and so every derived variate) increments *count. The
-// batched fleet path uses a zero post-build count as proof that a machine's
+// scenario engine uses a zero post-build count as proof that a machine's
 // dynamics never consumed randomness, which licenses replicating its result
 // across seeds. Pass nil to detach. Not safe for concurrent draws on
 // generators sharing one counter; instrumented machines are stepped by a

@@ -1,168 +1,56 @@
-// Batched fleet execution.
+// The fleet engine.
 //
-// The independent per-machine path (RunOpts) treats every fleet member as an
-// opaque trial: each machine rebuilds its thermal propagator ladders from
-// scratch and scatters its hot state across the heap. A homogeneous fleet —
-// the common case the paper's evaluation sweeps — repeats that identical work
-// N times over. This file is the batched path: trials are grouped by a
-// configuration fingerprint at sub-scenario granularity, one representative
-// per group runs first and publishes its built propagator ladders into a
+// Every scenario trial runs through runTrials. A homogeneous fleet — the
+// common case the paper's evaluation sweeps — would otherwise repeat
+// identical work N times over: each machine rebuilding its thermal
+// propagator ladders from scratch and scattering its hot state across the
+// heap. So trials are grouped by the part of their configuration that varies
+// within one compiled fleet (fan factor and ambient), one representative per
+// group runs first and publishes its built propagator ladders into a
 // fleet-shared read-locked cache (thermal.LadderCache), and the remaining
 // machines adopt the published ladders and step out of contiguous
-// structure-of-arrays scratch slabs instead of scattered allocations. Trials
-// whose dynamics provably never consume randomness are simulated once per
-// group and replicated across seeds; byte-identical (config, seed) pairs are
-// simulated once per process via a bounded cross-run cache.
+// structure-of-arrays scratch slabs instead of scattered allocations. A group
+// whose representative provably never consumed randomness is simulated once
+// and replicated across seeds.
 //
-// The batched path is an optimisation, not a semantic fork: every simulated
-// machine measures through the same measure() loop as RunOpts, shared
-// propagators are bit-identical to privately built ones (pinned in
-// internal/thermal), aggregation folds in strict index order, and the
-// equivalence suite (batch_test.go) pins RunBatched output byte-identical to
-// Run for every library scenario at any -jobs setting.
+// Grouping is an optimisation, not a semantic fork: every simulated machine
+// measures through the one measure() loop, shared propagators are
+// bit-identical to privately built ones (pinned in internal/thermal),
+// aggregation folds in strict index order, and the equivalence suite
+// (batch_test.go) pins Run, RunShard and RunMega byte-identical to an
+// independent build-and-measure reference for every library scenario at any
+// -jobs setting.
 package scenario
 
 import (
 	"fmt"
 	"math"
-	"sync"
 
-	"repro/internal/machine"
 	"repro/internal/obs"
 	"repro/internal/runner"
 	"repro/internal/thermal"
 	"repro/internal/units"
 )
 
-// Batched-path phase accumulators: the fingerprint/group pass and the
-// representative runs that publish shared ladders. Members and duplicates
-// measure through the same scenario.step/scenario.warmup phases as the
-// per-machine path.
-var (
-	phaseGroup     = obs.RegisterPhase("scenario.group")
-	phaseRepresent = obs.RegisterPhase("scenario.represent")
-)
-
-// effectiveIntegrator resolves the integrator a trial of this spec will run
-// with, mirroring machineConfig's resolution (spec field, then the
-// process-wide override, then the engine default of leap). It is part of the
-// group fingerprint: two fleets identical on disk but run under different
-// -integrator settings must not share simulated results.
-func effectiveIntegrator(s *Spec) string {
-	switch {
-	case s.Machine.Integrator != "":
-		return s.Machine.Integrator
-	case machine.IntegratorOverride() != "":
-		return machine.IntegratorOverride()
-	default:
-		return machine.IntegratorLeap
-	}
-}
-
-// batchSpecHash is the spec-level half of the group fingerprint: the
-// canonical content hash with the presentation fields (Name, Title, Summary)
-// and the fleet-shape block zeroed. Two differently named scenarios that
-// compile machines from identical specs fingerprint alike; the per-trial
-// half (fan, ambient, durations) is appended by batchGroupKey.
-func batchSpecHash(s *Spec) (string, error) {
-	g := s.Clone()
-	g.Name, g.Title, g.Summary = "", "", ""
-	g.Fleet = FleetSpec{}
-	return g.Hash()
-}
-
-// batchGroupKey fingerprints one trial's complete machine configuration: the
-// spec content hash, the effective integrator, the exact bit patterns of the
-// per-machine fan factor and ambient, and the resolved durations. Trials
-// with equal group keys build byte-identical machines up to the seed, which
-// is the precondition for sharing propagator ladders and for seed-invariant
+// groupKey is the part of a trial's machine configuration that varies within
+// one compiled fleet: the exact bit patterns of its fan factor and ambient.
+// Everything else — spec, durations, metric tick, integrator — is shared by
+// every trial of a run, so trials with equal keys build byte-identical
+// machines up to the seed, which is the precondition for seed-invariant
 // replication.
-func batchGroupKey(specHash string, s *Spec, t *MachineTrial) string {
-	return fmt.Sprintf("%s|%s|%016x|%016x|%d|%d|%d",
-		specHash, effectiveIntegrator(s),
-		math.Float64bits(t.FanFactor), math.Float64bits(t.AmbientC),
-		int64(t.Duration), int64(t.Warmup), int64(t.Tick))
+type groupKey struct{ fan, ambient uint64 }
+
+// batchGroup is one set of trials sharing a groupKey; members is in
+// ascending trial order, members[0] is the representative.
+type batchGroup struct {
+	members []int
+	draws   uint64 // RNG draws the representative's dynamics consumed
+	nn      int    // the representative's thermal node count
 }
 
-// batchTrialKey extends the group key with the seed: trials with equal trial
-// keys are byte-identical simulations, deduplicated within a run and across
-// runs through the process-wide cache.
-func batchTrialKey(groupKey string, seed uint64) string {
-	return fmt.Sprintf("%s|%016x", groupKey, seed)
-}
-
-// cachedTrial is one completed simulation in the cross-run cache: the result
-// (re-stamped with the adopting trial's identity on use) and the number of
-// RNG draws its dynamics consumed, which decides seed-invariant replication
-// without re-simulating.
-type cachedTrial struct {
-	res   MachineResult
-	draws uint64
-}
-
-// batchCacheMax bounds the cross-run trial cache. Entries past the bound are
-// simply not stored — correctness never depends on a hit.
-const batchCacheMax = 4096
-
-// batchCache deduplicates byte-identical (config, seed) simulations across
-// RunBatched calls in one process — repeated benchmark iterations and
-// repeated service requests hit it. Guarded by its mutex; results are copied
-// out (including the Web stats block) so cached state is never aliased.
-var batchCache = struct {
-	sync.Mutex
-	m            map[string]cachedTrial
-	hits, misses uint64
-}{m: make(map[string]cachedTrial)}
-
-func batchCacheGet(key string) (cachedTrial, bool) {
-	batchCache.Lock()
-	defer batchCache.Unlock()
-	c, ok := batchCache.m[key]
-	if ok {
-		batchCache.hits++
-	} else {
-		batchCache.misses++
-	}
-	return c, ok
-}
-
-func batchCachePut(key string, c cachedTrial) {
-	if c.res.Web != nil {
-		w := *c.res.Web
-		c.res.Web = &w
-	}
-	batchCache.Lock()
-	defer batchCache.Unlock()
-	if _, ok := batchCache.m[key]; ok {
-		return
-	}
-	if len(batchCache.m) >= batchCacheMax {
-		return
-	}
-	batchCache.m[key] = c
-}
-
-// BatchCacheStats reports the cross-run trial cache's lifetime hit and miss
-// counts and its current size — the dedup instrumentation the mega-fleet
-// benchmark records.
-func BatchCacheStats() (hits, misses uint64, entries int) {
-	batchCache.Lock()
-	defer batchCache.Unlock()
-	return batchCache.hits, batchCache.misses, len(batchCache.m)
-}
-
-// ResetBatchCache clears the cross-run trial cache and its counters.
-func ResetBatchCache() {
-	batchCache.Lock()
-	defer batchCache.Unlock()
-	batchCache.m = make(map[string]cachedTrial)
-	batchCache.hits, batchCache.misses = 0, 0
-}
-
-// stampResult adapts a simulated (or cached, or replicated) result to the
-// adopting trial's identity. Only the identity fields differ between trials
-// that share a result; the Web stats block is deep-copied so no two results
-// alias one mutable struct.
+// stampResult adapts a replicated result to the adopting trial's identity.
+// Only the identity fields differ between trials that share a result; the
+// Web stats block is deep-copied so no two results alias one mutable struct.
 func stampResult(src MachineResult, t *MachineTrial) MachineResult {
 	src.Index = t.Index
 	src.Seed = t.Seed
@@ -174,14 +62,20 @@ func stampResult(src MachineResult, t *MachineTrial) MachineResult {
 	return src
 }
 
-// runBatchedTrial is runMachine with the batched path's two interpositions at
-// the Build seam: the network's mutable hot state is rebound onto the
-// caller's structure-of-arrays scratch slab, and the fleet-shared ladder
-// cache is consulted by topology key — adopting the published propagators on
-// a hit, publishing this machine's built ladders on a miss. It returns the
-// result, the RNG draws the dynamics consumed (the replication licence), and
-// the thermal node count (the arena stride for the rest of the group).
-func runBatchedTrial(t MachineTrial, opts RunOptions, ladders *thermal.LadderCache, scratch []float64) (MachineResult, uint64, int, error) {
+// simulate builds and measures one trial with the engine's two
+// interpositions at the Build seam: the network's mutable hot state is
+// rebound onto the caller's structure-of-arrays scratch slab (when given),
+// and the fleet-shared ladder cache is consulted by topology key — adopting
+// the published propagators on a hit, publishing this machine's built
+// ladders on a miss. It returns the result, the RNG draws the dynamics
+// consumed (the replication licence), and the thermal node count (the arena
+// stride for the rest of the group). The first traceMachineSpans machines
+// get their own trace span.
+func simulate(t MachineTrial, opts RunOptions, ladders *thermal.LadderCache, scratch []float64) (MachineResult, uint64, int, error) {
+	var sp obs.Span
+	if t.Index < traceMachineSpans {
+		sp = opts.Trace.Start(fmt.Sprintf("machine-%03d", t.Index), "machine", t.Index+1)
+	}
 	m, tm1, srv, err := t.Build()
 	if err != nil {
 		return MachineResult{}, 0, 0, err
@@ -206,272 +100,108 @@ func runBatchedTrial(t MachineTrial, opts RunOptions, ladders *thermal.LadderCac
 	if ps == nil {
 		ladders.Put(key, net.ExportShare())
 	}
+	sp.EndArgs(map[string]any{"peak_c": res.PeakJunction})
 	return res, m.RNGDraws() - draws0, net.NumNodes(), nil
 }
 
-// batchGroup is one set of trials sharing a machine configuration (equal
-// group keys); members is in ascending trial order, members[0] is the
-// representative.
-type batchGroup struct {
-	key     string
-	members []int
-	draws   uint64 // RNG draws the representative's dynamics consumed
-	nn      int    // thermal node count (0 if the representative hit the cache)
-}
+// runTrials is the fleet engine's core: group the trials, run one
+// representative per group to publish shared ladders and establish the
+// replication licence, then run the remaining members with adopted ladders
+// and arena scratch — or, when the representative consumed no randomness,
+// stamp its result out across the group. It returns one result per trial, in
+// trial order, and fires OnMachine once per trial.
+//
+// Replication is derived from the installed observers: a telemetry tap or a
+// state observer must see every machine's own run, and a replicated result
+// carries neither its samples nor its final state, so replication stands
+// down when either is set. Every machine then simulates for real, still with
+// shared propagators and arena stepping. No other sharing is needed:
+// MachineSeed is injective in the index, so one compiled fleet never holds
+// two equal (config, seed) trials.
+func runTrials(spec *Spec, trials []MachineTrial, opts RunOptions) ([]MachineResult, error) {
+	results := make([]MachineResult, len(trials))
+	share := opts.OnTelemetry == nil && opts.OnState == nil
 
-// RunBatched executes the scenario's fleet through the batched engine and
-// aggregates exactly like Run. Output is byte-identical to Run at any -jobs
-// setting; only the work is different.
-func RunBatched(spec *Spec, scale float64) (*Result, error) {
-	return RunBatchedOpts(spec, scale, RunOptions{})
-}
-
-// RunBatchedOpts is RunBatched with per-run options. The streaming hooks
-// constrain the engine: OnMachine fires once per fleet member with its final
-// result (completion order is nondeterministic, as with RunOpts), but a
-// non-nil OnTelemetry must observe every machine's in-run samples, so it
-// disables result sharing entirely — every machine then simulates for real,
-// still with shared propagators and arena stepping.
-func RunBatchedOpts(spec *Spec, scale float64, opts RunOptions) (*Result, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	if spec.Scheduler != nil {
-		// Same contract as RunOpts: coupled fleets run through fleetsched.
-		return nil, fmt.Errorf("scenario %q: has a scheduler block; run it through the fleetsched engine (dimctl sched run %s)", spec.Name, spec.Name)
-	}
-	spc := opts.Trace.Start("compile", "scenario", 0)
-	ct := phaseCompile.Start()
-	trials := spec.Compile(scale)
-	phaseCompile.Stop(ct)
-	spc.EndArgs(map[string]any{"machines": len(trials)})
-	machines, err := runTrialsBatched(spec, scale, trials, opts)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{
-		Spec:     spec,
-		Scale:    scale,
-		Duration: trials[0].Duration,
-		Warmup:   trials[0].Warmup,
-		Machines: machines,
-	}
-	spAgg := opts.Trace.Start("aggregate", "scenario", 0)
-	res.Fleet = aggregate(spec, machines)
-	spAgg.End()
-	return res, nil
-}
-
-// runTrialsBatched is the batched engine's core: fingerprint and group the
-// trials, run one representative per group to publish shared ladders and
-// establish the replication licence, run the remaining distinct trials with
-// adopted ladders and arena scratch, then stamp out the shared results.
-func runTrialsBatched(spec *Spec, scale float64, trials []MachineTrial, opts RunOptions) ([]MachineResult, error) {
-	n := len(trials)
-	results := make([]MachineResult, n)
-	done := make([]bool, n)
-
-	var recovered map[int]MachineResult
-	if len(opts.Completed) > 0 {
-		recovered = make(map[int]MachineResult, len(opts.Completed))
-		for _, r := range opts.Completed {
-			if r.Index < 0 || r.Index >= n {
-				return nil, fmt.Errorf("scenario %q: checkpoint carries machine %d but the spec compiles %d machines at scale %g", spec.Name, r.Index, n, scale)
-			}
-			recovered[r.Index] = r
-		}
-	}
-
-	specHash, err := batchSpecHash(spec)
-	if err != nil {
-		return nil, err
-	}
-
-	// A telemetry tap must see every machine's in-run samples; sharing a
-	// result would silently drop its stream, so dedup, replication and the
-	// cross-run cache all stand down.
-	share := opts.OnTelemetry == nil
-
-	spGroup := opts.Trace.Start("group", "scenario", 0)
-	gt := phaseGroup.Start()
-	groupsByKey := make(map[string]*batchGroup)
-	groupOf := make(map[int]*batchGroup, n)
+	groups := make(map[groupKey]*batchGroup)
 	var order []*batchGroup
-	trialKeys := make([]string, n)
-	firstByTrialKey := make(map[string]int)
-	dupOf := make([]int, n)
 	for i := range trials {
-		dupOf[i] = -1
-		if r, ok := recovered[trials[i].Index]; ok {
-			results[i] = r
-			done[i] = true
-			continue
-		}
-		gk := batchGroupKey(specHash, spec, &trials[i])
-		trialKeys[i] = batchTrialKey(gk, trials[i].Seed)
-		if share {
-			if j, ok := firstByTrialKey[trialKeys[i]]; ok {
-				// Byte-identical (config, seed) pair — the mega tiling case.
-				dupOf[i] = j
-				continue
-			}
-			firstByTrialKey[trialKeys[i]] = i
-		}
-		g := groupsByKey[gk]
+		k := groupKey{math.Float64bits(trials[i].FanFactor), math.Float64bits(trials[i].AmbientC)}
+		g := groups[k]
 		if g == nil {
-			g = &batchGroup{key: gk}
-			groupsByKey[gk] = g
+			g = &batchGroup{}
+			groups[k] = g
 			order = append(order, g)
 		}
 		g.members = append(g.members, i)
-		groupOf[i] = g
 	}
-	phaseGroup.StopN(gt, int64(n))
-	spGroup.EndArgs(map[string]any{"groups": len(order), "machines": n})
 
 	finish := func(i int, r MachineResult) {
 		results[i] = r
-		done[i] = true
 		if opts.OnMachine != nil {
 			opts.OnMachine(r)
 		}
 	}
-
-	// Phase 1: representatives. One trial per group runs (or resolves from
-	// the cross-run cache) before the rest of its group, so its published
-	// ladders and draw count are available to them.
-	ladders := thermal.NewLadderCache()
-	var reps []int
-	for _, g := range order {
-		i := g.members[0]
-		if share {
-			if c, ok := batchCacheGet(trialKeys[i]); ok {
-				g.draws = c.draws
-				finish(i, stampResult(c.res, &trials[i]))
-				continue
-			}
-		}
-		reps = append(reps, i)
+	fail := func(err error) ([]MachineResult, error) {
+		return nil, fmt.Errorf("scenario %q: %w", spec.Name, err)
 	}
-	spRep := opts.Trace.Start("represent", "scenario", 0)
-	rt := phaseRepresent.Start()
-	if _, err := runner.MapErrCtx(opts.Context, reps, func(_ int, i int) (struct{}, error) {
-		r, draws, nn, err := runBatchedTrial(trials[i], opts, ladders, nil)
+
+	spStep := opts.Trace.Start("step", "scenario", 0)
+	// Representatives run before the rest of their group, so their published
+	// ladders and draw counts are available to the members.
+	ladders := thermal.NewLadderCache()
+	if _, err := runner.MapErrCtx(opts.Context, order, func(_ int, g *batchGroup) (struct{}, error) {
+		i := g.members[0]
+		r, draws, nn, err := simulate(trials[i], opts, ladders, nil)
 		if err != nil {
 			return struct{}{}, err
 		}
-		g := groupOf[i]
 		g.draws, g.nn = draws, nn
-		if share {
-			batchCachePut(trialKeys[i], cachedTrial{res: r, draws: draws})
-		}
 		finish(i, r)
 		return struct{}{}, nil
 	}); err != nil {
-		return nil, fmt.Errorf("scenario %q: %w", spec.Name, err)
+		return fail(err)
 	}
-	phaseRepresent.StopN(rt, int64(len(reps)))
-	spRep.EndArgs(map[string]any{"representatives": len(reps)})
 
-	// Phase 2: the rest of each group. A representative that consumed zero
-	// RNG draws proves the configuration's dynamics are seed-insensitive —
-	// the first draw would occur at the same simulated moment for every
-	// seed, so if one seed never reaches it, none does — and its result
-	// replicates across the group. Otherwise every member simulates, with
-	// the group's published ladders adopted and its mutable hot state
-	// carved from one contiguous structure-of-arrays slab per group.
+	// A representative that consumed zero RNG draws proves the
+	// configuration's dynamics are seed-insensitive — the first draw would
+	// occur at the same simulated moment for every seed, so if one seed never
+	// reaches it, none does — and its result replicates across the group.
+	// Otherwise every member simulates, with the group's published ladders
+	// adopted and its mutable hot state carved from one contiguous
+	// structure-of-arrays slab per group.
 	type pendingTrial struct {
 		i       int
 		scratch []float64
 	}
 	var pending []pendingTrial
+	replicated := 0
 	for _, g := range order {
-		rep := g.members[0]
+		rep, rest := g.members[0], g.members[1:]
 		if share && g.draws == 0 {
-			for _, i := range g.members[1:] {
+			for _, i := range rest {
 				finish(i, stampResult(results[rep], &trials[i]))
 			}
+			replicated += len(rest)
 			continue
 		}
-		var mem []int
-		for _, i := range g.members[1:] {
-			if done[i] {
-				continue
-			}
-			if share {
-				if c, ok := batchCacheGet(trialKeys[i]); ok {
-					finish(i, stampResult(c.res, &trials[i]))
-					continue
-				}
-			}
-			mem = append(mem, i)
-		}
-		if len(mem) == 0 {
-			continue
-		}
-		var slab []float64
-		stride := 0
-		if g.nn > 0 {
-			stride = thermal.ScratchLen(g.nn)
-			slab = make([]float64, stride*len(mem))
-		}
-		for k, i := range mem {
-			var sc []float64
-			if slab != nil {
-				sc = slab[k*stride : (k+1)*stride]
-			}
-			pending = append(pending, pendingTrial{i: i, scratch: sc})
+		stride := thermal.ScratchLen(g.nn)
+		slab := make([]float64, stride*len(rest))
+		for k, i := range rest {
+			pending = append(pending, pendingTrial{i: i, scratch: slab[k*stride : (k+1)*stride]})
 		}
 	}
-	spStep := opts.Trace.Start("step", "scenario", 0)
 	if _, err := runner.MapErrCtx(opts.Context, pending, func(_ int, p pendingTrial) (struct{}, error) {
-		r, draws, _, err := runBatchedTrial(trials[p.i], opts, ladders, p.scratch)
+		r, _, _, err := simulate(trials[p.i], opts, ladders, p.scratch)
 		if err != nil {
 			return struct{}{}, err
-		}
-		if share {
-			batchCachePut(trialKeys[p.i], cachedTrial{res: r, draws: draws})
 		}
 		finish(p.i, r)
 		return struct{}{}, nil
 	}); err != nil {
-		return nil, fmt.Errorf("scenario %q: %w", spec.Name, err)
+		return fail(err)
 	}
-	spStep.EndArgs(map[string]any{"members": len(pending)})
-
-	// Phase 3: byte-identical duplicates copy their source's result with
-	// their own identity stamped on.
-	spStamp := opts.Trace.Start("stamp", "scenario", 0)
-	stamped := 0
-	for i := range trials {
-		if dupOf[i] >= 0 {
-			finish(i, stampResult(results[dupOf[i]], &trials[i]))
-			stamped++
-		}
-	}
-	spStamp.EndArgs(map[string]any{"duplicates": stamped})
+	spStep.EndArgs(map[string]any{"machines": len(trials), "groups": len(order), "replicated": replicated})
 	return results, nil
-}
-
-// RunBatchedByName looks the scenario up in the registry and runs it through
-// the batched engine.
-func RunBatchedByName(name string, scale float64) (*Result, error) {
-	spec, ok := Get(name)
-	if !ok {
-		return nil, fmt.Errorf("scenario: unknown scenario %q", name)
-	}
-	return RunBatched(spec, scale)
-}
-
-// ExportBatched runs the named registered scenario through the batched
-// engine and writes the same CSVs as Export — byte-identical files, faster
-// fleet.
-func ExportBatched(name string, scale float64, dir string) ([]string, error) {
-	res, err := RunBatchedByName(name, scale)
-	if err != nil {
-		return nil, err
-	}
-	return ExportResult(res, dir)
 }
 
 // RunMegaByName looks the scenario up in the registry and runs it tiled out
@@ -485,7 +215,7 @@ func RunMegaByName(name string, total int, scale float64) (*MegaResult, error) {
 }
 
 // MegaResult is a tiled mega-fleet run: the spec's compiled fleet simulated
-// once through the batched engine, replicated across Total indices, and
+// once through Run, replicated across Total indices, and
 // aggregated through the same strict-index-order arithmetic as every other
 // path — without ever materialising Total MachineResults.
 type MegaResult struct {
@@ -500,22 +230,19 @@ type MegaResult struct {
 
 // RunMega executes the scenario tiled out to total machines: machine i is an
 // exact replica of compiled trial i mod B (same config, same seed), so only
-// the B distinct trials simulate and the batched engine's dedup carries the
-// rest. This is how a million-machine fleet summary comes off a laptop: B
+// the B distinct trials simulate and the tiled accessor carries the rest.
+// This is how a million-machine fleet summary comes off a laptop: B
 // simulations, two O(total) float arrays for the temperature quantiles, and
 // a compensated index-ordered fold for the totals.
 func RunMega(spec *Spec, total int, scale float64) (*MegaResult, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	if spec.Scheduler != nil {
-		return nil, fmt.Errorf("scenario %q: has a scheduler block; run it through the fleetsched engine (dimctl sched run %s)", spec.Name, spec.Name)
-	}
 	base := spec.Fleet.Machines
 	if total < base {
 		return nil, fmt.Errorf("scenario %q: mega fleet of %d machines is smaller than the spec's fleet of %d", spec.Name, total, base)
 	}
-	br, err := RunBatched(spec, scale)
+	br, err := Run(spec, scale)
 	if err != nil {
 		return nil, err
 	}

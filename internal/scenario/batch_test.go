@@ -1,66 +1,144 @@
 package scenario
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
+	"repro/internal/machine"
+	"repro/internal/obs"
 	"repro/internal/runner"
 )
 
-// batchedPinned runs a library scenario through the batched engine with the
-// integrator pinned, resetting the cross-run cache first so every invocation
-// exercises the engine rather than a prior test's results.
-func batchedPinned(t *testing.T, name, integrator string) *Result {
-	t.Helper()
-	spec, ok := Get(name)
-	if !ok {
-		t.Fatalf("scenario %q missing from the library", name)
-	}
-	pinned := *spec
-	pinned.Machine.Integrator = integrator
-	ResetBatchCache()
-	res, err := RunBatched(&pinned, goldenScale)
+// replicatingSpec is a homogeneous, seed-insensitive fleet: identical fans
+// and ambients put every machine in one group, and a workload and policy that
+// never draw randomness license the engine's replication branch, which no
+// library scenario reaches at the suite's scale.
+func replicatingSpec(tb testing.TB, name, policy string) *Spec {
+	tb.Helper()
+	spec, err := Decode([]byte(`{
+		"name": "` + name + `",
+		"duration_s": 10,
+		"fleet": {"machines": 8, "base_seed": 7},
+		"machine": {"cores": 2},
+		"policy": ` + policy + `,
+		"workload": [{"kind": "burn", "threads": 2}]
+	}`))
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	return res
+	return spec
 }
 
-// TestBatchedMatchesPerMachine is the batched-vs-per-machine equivalence
-// suite: for every library scenario, both integrators, and both a serial and
-// an 8-worker pool, the batched engine's rendered output and per-machine
-// results must be byte-identical to the independent path's. This is the
-// contract that makes RunBatched an optimisation rather than a semantic
-// fork — grouping, ladder sharing, arena stepping, seed-invariant
-// replication and deduplication all have to be invisible in the bytes.
-func TestBatchedMatchesPerMachine(t *testing.T) {
-	defer runner.SetJobs(runner.Jobs())
+// equivalenceInput is one fleet the equivalence suite runs.
+type equivalenceInput struct {
+	name       string
+	spec       *Spec
+	scale      float64
+	replicates bool // the engine must take the replication branch
+}
+
+// equivalenceInputs is every unscheduled library scenario at golden scale
+// plus the replicating fleets, free-running and under deterministic
+// Dimetrodon, at full scale.
+func equivalenceInputs(t *testing.T) []equivalenceInput {
+	var in []equivalenceInput
 	for _, name := range Names() {
-		spec, ok := Get(name)
-		if !ok {
-			t.Fatalf("scenario %q missing from the library", name)
-		}
+		spec, _ := Get(name)
 		if spec.Scheduler != nil {
-			// Coupled fleets reject identically on both paths; pinned by
+			// Coupled fleets are rejected; pinned by
 			// TestBatchedSchedulerRejected.
 			continue
 		}
+		in = append(in, equivalenceInput{name: name, spec: spec, scale: goldenScale})
+	}
+	for _, r := range []struct{ name, policy string }{
+		{"replicate-burn", `{"kind": "none"}`},
+		{"replicate-dimetrodon", `{"kind": "dimetrodon", "p": 0.5, "l_ms": 25, "deterministic": true}`},
+	} {
+		in = append(in, equivalenceInput{name: r.name, spec: replicatingSpec(t, r.name, r.policy), scale: 1, replicates: true})
+	}
+	return in
+}
+
+// stepArg reads one annotation off a traced run's scenario step span.
+func stepArg(t *testing.T, tr *obs.Tracer, key string) int {
+	t.Helper()
+	for _, r := range tr.Records() {
+		if r.Name == "step" && r.Cat == "scenario" {
+			v, ok := r.Args[key].(int)
+			if !ok {
+				t.Fatalf("step span args %v carry no %q count", r.Args, key)
+			}
+			return v
+		}
+	}
+	t.Fatal("traced run recorded no scenario step span")
+	return 0
+}
+
+// TestBatchedMatchesPerMachine is the engine's equivalence suite: for every
+// input fleet, both integrators, and both a serial and an 8-worker pool, Run,
+// the union of RunShard ranges and RunMega's tiled aggregate must be
+// byte-identical to the independent build-and-measure reference. This is the
+// contract that makes grouping, ladder sharing, arena stepping and
+// seed-invariant replication optimisations rather than a semantic fork.
+func TestBatchedMatchesPerMachine(t *testing.T) {
+	defer runner.SetJobs(runner.Jobs())
+	for _, in := range equivalenceInputs(t) {
 		for _, integ := range []string{"exact", "leap"} {
+			spec := in.spec.Clone()
+			spec.Machine.Integrator = integ
 			runner.SetJobs(1)
-			want := runPinned(t, name, integ)
+			want := runReference(t, spec, in.scale)
+			n := len(want.Machines)
 			for _, jobs := range []int{1, 8} {
-				t.Run(name+"/"+integ+"/jobs"+string(rune('0'+jobs)), func(t *testing.T) {
+				t.Run(fmt.Sprintf("%s/%s/jobs%d", in.name, integ, jobs), func(t *testing.T) {
 					runner.SetJobs(jobs)
-					got := batchedPinned(t, name, integ)
+					tr := obs.NewTracer()
+					got, err := RunOpts(spec, in.scale, RunOptions{Trace: tr})
+					if err != nil {
+						t.Fatal(err)
+					}
 					if g, w := got.String(), want.String(); g != w {
-						t.Errorf("batched output diverged from per-machine at %d jobs:\n%s", jobs, firstDiff(w, g))
+						t.Errorf("engine output diverged from the reference at %d jobs:\n%s", jobs, firstDiff(w, g))
 					}
 					if !reflect.DeepEqual(got.Machines, want.Machines) {
-						t.Errorf("batched per-machine results diverged from per-machine path at %d jobs", jobs)
+						t.Errorf("engine per-machine results diverged from the reference at %d jobs", jobs)
 					}
 					if got.Fleet != want.Fleet {
-						t.Errorf("batched fleet aggregate diverged:\n batched %+v\n direct  %+v", got.Fleet, want.Fleet)
+						t.Errorf("engine fleet aggregate diverged:\n engine    %+v\n reference %+v", got.Fleet, want.Fleet)
+					}
+					if rep := stepArg(t, tr, "replicated"); in.replicates && rep == 0 {
+						t.Error("homogeneous seed-insensitive fleet never took the replication branch")
+					}
+
+					cut := n / 3
+					var union []MachineResult
+					for _, r := range [][2]int{{0, cut}, {cut, n}} {
+						if r[0] == r[1] {
+							continue
+						}
+						part, err := RunShard(spec, in.scale, r[0], r[1], nil, RunOptions{})
+						if err != nil {
+							t.Fatalf("shard [%d,%d): %v", r[0], r[1], err)
+						}
+						union = append(union, part...)
+					}
+					if !reflect.DeepEqual(union, want.Machines) {
+						t.Errorf("shard union diverged from the reference at %d jobs", jobs)
+					}
+
+					total := 2*n + 1
+					mega, err := RunMega(spec, total, in.scale)
+					if err != nil {
+						t.Fatal(err)
+					}
+					tiled := aggregateFrom(spec, total, func(i int) *MachineResult { return &want.Machines[i%n] })
+					if mega.Fleet != tiled {
+						t.Errorf("mega aggregate diverged from the tiled reference:\n mega      %+v\n reference %+v", mega.Fleet, tiled)
 					}
 				})
 			}
@@ -68,9 +146,9 @@ func TestBatchedMatchesPerMachine(t *testing.T) {
 	}
 }
 
-// TestBatchedSchedulerRejected pins the scheduler-block contract: the
-// batched engine and the mega path refuse coupled fleets with exactly the
-// error the independent path gives, pointing at the fleetsched engine.
+// TestBatchedSchedulerRejected pins the scheduler-block contract: Run and
+// the mega path refuse coupled fleets with the same error, pointing at the
+// fleetsched engine.
 func TestBatchedSchedulerRejected(t *testing.T) {
 	// Mirror of the fleetsched library's sched-shootout, declared inline
 	// because that library registers from its own package init, which
@@ -91,14 +169,12 @@ func TestBatchedSchedulerRejected(t *testing.T) {
 		ViolationC: 47,
 	}
 	_, errDirect := Run(spec, goldenScale)
-	_, errBatched := RunBatched(spec, goldenScale)
 	_, errMega := RunMega(spec, 10_000, goldenScale)
-	if errDirect == nil || errBatched == nil || errMega == nil {
-		t.Fatalf("scheduler spec must be rejected on every path: direct=%v batched=%v mega=%v",
-			errDirect, errBatched, errMega)
+	if errDirect == nil || errMega == nil {
+		t.Fatalf("scheduler spec must be rejected on every path: direct=%v mega=%v", errDirect, errMega)
 	}
-	if errBatched.Error() != errDirect.Error() {
-		t.Errorf("batched rejection %q differs from direct %q", errBatched, errDirect)
+	if !strings.Contains(errDirect.Error(), "fleetsched engine") {
+		t.Errorf("rejection %q does not point at the fleetsched engine", errDirect)
 	}
 	if errMega.Error() != errDirect.Error() {
 		t.Errorf("mega rejection %q differs from direct %q", errMega, errDirect)
@@ -124,8 +200,7 @@ func TestRunMegaTilesExactly(t *testing.T) {
 		t.Fatalf("mega sizes = (%d, %d), want (%d, %d)", mega.Total, mega.Base, total, base)
 	}
 
-	ResetBatchCache()
-	br, err := RunBatched(spec, goldenScale)
+	br, err := Run(spec, goldenScale)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,56 +214,26 @@ func TestRunMegaTilesExactly(t *testing.T) {
 	if s := mega.String(); !strings.Contains(s, "mega fleet of 1000 machines (16 distinct simulated)") {
 		t.Errorf("mega summary missing the tiling line:\n%s", s)
 	}
-	if mega.Total < mega.Base {
-		t.Error("tiling invariant violated")
-	}
 	if _, err := RunMega(spec, base-1, goldenScale); err == nil {
 		t.Error("RunMega must reject totals below the compiled fleet size")
 	}
 }
 
-// TestBatchCacheDedupsAcrossRuns pins the cross-run cache: a second batched
-// run of the same spec at the same scale must resolve at least its group
-// representatives from cache instead of re-simulating.
-func TestBatchCacheDedupsAcrossRuns(t *testing.T) {
-	spec, ok := Get("multi-tenant")
-	if !ok {
-		t.Fatal("multi-tenant missing from the library")
-	}
-	ResetBatchCache()
-	if _, err := RunBatched(spec, goldenScale); err != nil {
-		t.Fatal(err)
-	}
-	h0, _, entries := BatchCacheStats()
-	if entries == 0 {
-		t.Fatal("first batched run stored nothing in the cross-run cache")
-	}
-	if _, err := RunBatched(spec, goldenScale); err != nil {
-		t.Fatal(err)
-	}
-	h1, _, _ := BatchCacheStats()
-	if h1 <= h0 {
-		t.Errorf("second identical run hit the cache %d times, want > %d", h1, h0)
-	}
-}
-
-// TestBatchedTelemetryRunsEveryMachine pins the telemetry constraint: with a
-// tap installed, result sharing stands down and every machine streams its
-// own samples.
+// TestBatchedTelemetryRunsEveryMachine pins the telemetry constraint on a
+// fleet that would otherwise replicate: with a tap installed, replication
+// stands down and every machine streams its own samples.
 func TestBatchedTelemetryRunsEveryMachine(t *testing.T) {
-	spec, ok := Get("multi-tenant")
-	if !ok {
-		t.Fatal("multi-tenant missing from the library")
-	}
+	spec := replicatingSpec(t, "replicate-burn", `{"kind": "none"}`)
+	var mu sync.Mutex
 	seen := make(map[int]bool)
-	var mu chan struct{} = make(chan struct{}, 1)
-	mu <- struct{}{}
-	res, err := RunBatchedOpts(spec, goldenScale, RunOptions{
+	tr := obs.NewTracer()
+	res, err := RunOpts(spec, 1, RunOptions{
+		Trace:          tr,
 		TelemetryEvery: 5,
 		OnTelemetry: func(s MachineSample) {
-			<-mu
+			mu.Lock()
 			seen[s.Index] = true
-			mu <- struct{}{}
+			mu.Unlock()
 		},
 	})
 	if err != nil {
@@ -196,7 +241,60 @@ func TestBatchedTelemetryRunsEveryMachine(t *testing.T) {
 	}
 	for i := range res.Machines {
 		if !seen[i] {
-			t.Errorf("machine %d produced no telemetry under the batched engine", i)
+			t.Errorf("machine %d produced no telemetry", i)
+		}
+	}
+	if rep := stepArg(t, tr, "replicated"); rep != 0 {
+		t.Errorf("%d machines replicated under a telemetry tap, want 0", rep)
+	}
+}
+
+// TestOnStateFiresForEveryMachine pins the state observer on a fleet that
+// would otherwise replicate: with only OnState installed, every index still
+// delivers its own final thermal state exactly once, and the results stay
+// identical to an unobserved run.
+func TestOnStateFiresForEveryMachine(t *testing.T) {
+	spec := replicatingSpec(t, "replicate-burn", `{"kind": "none"}`)
+	var mu sync.Mutex
+	calls := make(map[int]int)
+	res, err := RunOpts(spec, 1, RunOptions{
+		OnState: func(i int, _ machine.State) {
+			mu.Lock()
+			calls[i]++
+			mu.Unlock()
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range res.Machines {
+		if calls[i] != 1 {
+			t.Errorf("machine %d observed %d states, want 1", i, calls[i])
+		}
+	}
+	silent, err := Run(spec, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(silent.Machines, res.Machines) {
+		t.Error("a state observer changed the per-machine results")
+	}
+}
+
+// TestTracedRunRecordsMachineSpans pins the engine's trace layers: compile,
+// step and aggregate spans, plus per-machine spans for the first machines.
+func TestTracedRunRecordsMachineSpans(t *testing.T) {
+	tr := obs.NewTracer()
+	if _, err := RunOpts(mustGetT(t, "fleet-diurnal"), 0.02, RunOptions{Trace: tr}); err != nil {
+		t.Fatal(err)
+	}
+	names := make(map[string]bool)
+	for _, r := range tr.Records() {
+		names[r.Name] = true
+	}
+	for _, want := range []string{"compile", "step", "aggregate", "machine-000"} {
+		if !names[want] {
+			t.Errorf("traced fleet run has no %q span", want)
 		}
 	}
 }

@@ -36,6 +36,12 @@ type MachineTrial struct {
 // package's splitmix expansion; the result is a pure function of (base, i),
 // which is what makes fleet sharding order-independent: any worker can run
 // any machine and produce identical bytes.
+//
+// It is also injective in i: the stride is odd, so base + i·γ differs for
+// every i modulo 2⁶⁴; splitmix64 is a bijection of its state; and xoshiro's
+// first output rotl(s1·5, 7)·9 is a bijection of s1. One compiled fleet
+// therefore never holds two equal (config, seed) trials, and the fleet
+// engine has no duplicate simulations to share.
 func MachineSeed(base uint64, i int) uint64 {
 	return rng.New(base + uint64(i)*0x9e3779b97f4a7c15).Uint64()
 }
@@ -110,8 +116,8 @@ func (s *Spec) ViolationThreshold() float64 { return s.violationC() }
 // Build materialises the trial's machine: configuration, DTM policy (with
 // the TM1 monitor when armed) and the static workload mix, leaving the
 // machine at t=0 ready to run. It is the construction seam shared by the
-// independent per-machine path (runMachine) and the fleetsched cross-machine
-// engine, which must build identical fleet members before coordinating them.
+// scenario engine (simulate) and the fleetsched cross-machine engine, which
+// must build identical fleet members before coordinating them.
 func (t *MachineTrial) Build() (*machine.Machine, *dtm.TM1, *webserver.Server, error) {
 	m := machine.New(t.machineConfig())
 	tm1, err := t.applyPolicy(m)

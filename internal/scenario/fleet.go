@@ -72,8 +72,8 @@ func aggregate(spec *Spec, machines []MachineResult) FleetAgg {
 //
 // Summation order is part of the determinism contract: every floating-point
 // total is a compensated (Kahan) sum folded in strict index order 0..n-1,
-// never in worker-completion order, so the per-machine, batched and tiled
-// mega paths produce bit-identical aggregates regardless of how the
+// never in worker-completion order, so full, sharded and tiled mega runs
+// produce bit-identical aggregates regardless of how the
 // simulations were scheduled — and the compensation keeps the totals exact
 // to the last bit at million-machine scale, where naive running sums drift.
 // The temperature percentiles sort each distribution once and index every

@@ -2,14 +2,13 @@ package scenario
 
 import "testing"
 
-// BenchmarkMegaFleet measures the batched mega path against the independent
-// per-machine engine on the same spec. The batched side runs fleet-diurnal
-// tiled to 100k machines (24 distinct simulations, shared ladders, cross-run
-// dedup across iterations); the per-machine side runs the 24 independent
-// machine graphs directly. Both report ns/machine — per fleet member
-// summarised, the unit the mega path is built to amortise — and the batched
-// side additionally reports the cross-run cache hit rate. scripts/bench.sh
-// records all of it in BENCH_results.json.
+// BenchmarkMegaFleet measures the mega path against the independent
+// build-and-measure reference on the same spec. The batched side runs
+// fleet-diurnal tiled to 100k machines (24 distinct simulations with shared
+// ladders and arena stepping); the per-machine side runs the 24 machines
+// through the reference, each building its own ladders. Both report
+// ns/machine — per fleet member summarised, the unit the mega path is built
+// to amortise. scripts/bench.sh records both in BENCH_results.json.
 func BenchmarkMegaFleet(b *testing.B) {
 	const megaScale = 0.05
 	spec, ok := Get("fleet-diurnal")
@@ -19,7 +18,6 @@ func BenchmarkMegaFleet(b *testing.B) {
 
 	b.Run("batched-100k", func(b *testing.B) {
 		const total = 100_000
-		ResetBatchCache()
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -29,19 +27,13 @@ func BenchmarkMegaFleet(b *testing.B) {
 		}
 		b.StopTimer()
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/total, "ns/machine")
-		hits, misses, _ := BatchCacheStats()
-		if lookups := hits + misses; lookups > 0 {
-			b.ReportMetric(100*float64(hits)/float64(lookups), "dedup-hit-pct")
-		}
 	})
 
 	b.Run("permachine", func(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := Run(spec, megaScale); err != nil {
-				b.Fatal(err)
-			}
+			runReference(b, spec, megaScale)
 		}
 		b.StopTimer()
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(spec.Fleet.Machines), "ns/machine")

@@ -27,61 +27,55 @@ func TestObservabilityNonPerturbing(t *testing.T) {
 			continue // scheduled scenarios: see the fleetsched mirror of this test
 		}
 		for _, integ := range []string{machine.IntegratorExact, machine.IntegratorLeap} {
-			for _, batched := range []bool{false, true} {
-				runEngine := RunOpts
-				if batched {
-					runEngine = RunBatchedOpts
-				}
-				label := fmt.Sprintf("%s/%s/batched=%v", name, integ, batched)
-				if err := machine.SetIntegratorOverride(integ); err != nil {
-					t.Fatal(err)
-				}
+			label := fmt.Sprintf("%s/%s", name, integ)
+			if err := machine.SetIntegratorOverride(integ); err != nil {
+				t.Fatal(err)
+			}
 
-				obs.EnableProfiling(false)
-				silent, err := runEngine(spec, scale, RunOptions{})
-				if err != nil {
-					t.Fatalf("%s: silent run: %v", label, err)
-				}
+			obs.EnableProfiling(false)
+			silent, err := RunOpts(spec, scale, RunOptions{})
+			if err != nil {
+				t.Fatalf("%s: silent run: %v", label, err)
+			}
 
-				obs.EnableProfiling(true)
-				tr := obs.NewTracer()
-				rec := obs.NewFlightRecorder(256)
-				tr.SetSink(func(name, cat string, durNS int64) {
-					rec.Record("span", "", name, float64(durNS))
-				})
-				var samples, states atomic.Int64
-				observed, err := runEngine(spec, scale, RunOptions{
-					Trace:          tr,
-					TelemetryEvery: 1,
-					OnTelemetry:    func(MachineSample) { samples.Add(1) },
-					OnMachine:      func(MachineResult) {},
-					OnState: func(i int, st machine.State) {
-						states.Add(1)
-						rec.Record("state", "", "machine", st.Now.Seconds())
-					},
-				})
-				if err != nil {
-					t.Fatalf("%s: observed run: %v", label, err)
-				}
+			obs.EnableProfiling(true)
+			tr := obs.NewTracer()
+			rec := obs.NewFlightRecorder(256)
+			tr.SetSink(func(name, cat string, durNS int64) {
+				rec.Record("span", "", name, float64(durNS))
+			})
+			var samples, states atomic.Int64
+			observed, err := RunOpts(spec, scale, RunOptions{
+				Trace:          tr,
+				TelemetryEvery: 1,
+				OnTelemetry:    func(MachineSample) { samples.Add(1) },
+				OnMachine:      func(MachineResult) {},
+				OnState: func(i int, st machine.State) {
+					states.Add(1)
+					rec.Record("state", "", "machine", st.Now.Seconds())
+				},
+			})
+			if err != nil {
+				t.Fatalf("%s: observed run: %v", label, err)
+			}
 
-				if silent.String() != observed.String() {
-					t.Errorf("%s: rendered output diverges with observability on", label)
-				}
-				if a, b := flattenFiles(silent), flattenFiles(observed); a != b {
-					t.Errorf("%s: CSV artefacts diverge with observability on", label)
-				}
-				if tr.Len() == 0 {
-					t.Errorf("%s: traced run recorded no spans", label)
-				}
-				if samples.Load() == 0 {
-					t.Errorf("%s: telemetry hook never fired", label)
-				}
-				if states.Load() == 0 {
-					t.Errorf("%s: machine-state observer never fired", label)
-				}
-				if rec.Total() == 0 {
-					t.Errorf("%s: flight recorder captured nothing", label)
-				}
+			if silent.String() != observed.String() {
+				t.Errorf("%s: rendered output diverges with observability on", label)
+			}
+			if a, b := flattenFiles(silent), flattenFiles(observed); a != b {
+				t.Errorf("%s: CSV artefacts diverge with observability on", label)
+			}
+			if tr.Len() == 0 {
+				t.Errorf("%s: traced run recorded no spans", label)
+			}
+			if samples.Load() == 0 {
+				t.Errorf("%s: telemetry hook never fired", label)
+			}
+			if states.Load() == 0 {
+				t.Errorf("%s: machine-state observer never fired", label)
+			}
+			if rec.Total() == 0 {
+				t.Errorf("%s: flight recorder captured nothing", label)
 			}
 		}
 	}

@@ -7,12 +7,11 @@ import (
 	"repro/internal/dtm"
 	"repro/internal/machine"
 	"repro/internal/obs"
-	"repro/internal/runner"
 	"repro/internal/units"
 	"repro/internal/webserver"
 )
 
-// Phase profiler accumulators for the per-machine fleet path. They wrap the
+// Phase profiler accumulators for the fleet engine. They wrap the
 // coarse phases around the thermal kernel — never the kernel's inner step —
 // so profiling on or off never touches the hot loop's timings, and the
 // disabled cost is one atomic load per phase entry.
@@ -134,22 +133,10 @@ type MachineSample struct {
 	ViolationS float64 `json:"violation_s"`
 }
 
-// runMachine executes one fleet member's simulation: build, apply policy,
-// spawn the mix, warm up, then measure the window at the metric tick.
-func runMachine(t MachineTrial, opts RunOptions) (MachineResult, error) {
-	m, tm1, srv, err := t.Build()
-	if err != nil {
-		return MachineResult{}, err
-	}
-	return measure(m, tm1, srv, t, opts)
-}
-
 // measure drives an already-built machine through the trial's warmup and
-// measurement window and collects the per-machine result. It is the
-// post-construction half of runMachine, split out so the batched fleet path
-// can interpose on the Build seam (scratch arenas, shared propagator
-// adoption) and still measure through the one shared loop — which is what
-// makes batched output byte-identical to the per-machine path.
+// measurement window and collects the per-machine result. It is the one
+// measurement loop every fleet member runs through, whether its machine
+// adopted shared propagators and arena scratch (simulate) or built its own.
 func measure(m *machine.Machine, tm1 *dtm.TM1, srv *webserver.Server, t MachineTrial, opts RunOptions) (MachineResult, error) {
 	wt := phaseWarmup.Start()
 	m.RunFor(t.Warmup)
@@ -279,42 +266,27 @@ func RunOpts(spec *Spec, scale float64, opts RunOptions) (*Result, error) {
 		// internal/fleetsched; dimctl and the top-level API route there.
 		return nil, fmt.Errorf("scenario %q: has a scheduler block; run it through the fleetsched engine (dimctl sched run %s)", spec.Name, spec.Name)
 	}
-	spc := opts.Trace.Start("compile", "scenario", 0)
-	ct := phaseCompile.Start()
-	trials := spec.Compile(scale)
-	phaseCompile.Stop(ct)
-	spc.EndArgs(map[string]any{"machines": len(trials)})
-	var recovered map[int]MachineResult
-	if len(opts.Completed) > 0 {
-		recovered = make(map[int]MachineResult, len(opts.Completed))
-		for _, r := range opts.Completed {
-			if r.Index < 0 || r.Index >= len(trials) {
-				return nil, fmt.Errorf("scenario %q: checkpoint carries machine %d but the spec compiles %d machines at scale %g", spec.Name, r.Index, len(trials), scale)
-			}
-			recovered[r.Index] = r
+	trials := compile(spec, scale, opts.Trace)
+	machines := make([]MachineResult, len(trials))
+	recovered := make([]bool, len(trials))
+	for _, r := range opts.Completed {
+		if r.Index < 0 || r.Index >= len(trials) {
+			return nil, fmt.Errorf("scenario %q: checkpoint carries machine %d but the spec compiles %d machines at scale %g", spec.Name, r.Index, len(trials), scale)
+		}
+		machines[r.Index], recovered[r.Index] = r, true
+	}
+	var todo []MachineTrial
+	for _, t := range trials {
+		if !recovered[t.Index] {
+			todo = append(todo, t)
 		}
 	}
-	spStep := opts.Trace.Start("step", "scenario", 0)
-	machines, err := runner.MapErrCtx(opts.Context, trials, func(_ int, t MachineTrial) (MachineResult, error) {
-		if r, ok := recovered[t.Index]; ok {
-			return r, nil
-		}
-		var sp obs.Span
-		if t.Index < traceMachineSpans {
-			sp = opts.Trace.Start(fmt.Sprintf("machine-%03d", t.Index), "machine", t.Index+1)
-		}
-		r, err := runMachine(t, opts)
-		if err == nil {
-			sp.EndArgs(map[string]any{"peak_c": r.PeakJunction})
-			if opts.OnMachine != nil {
-				opts.OnMachine(r)
-			}
-		}
-		return r, err
-	})
-	spStep.EndArgs(map[string]any{"machines": len(trials)})
+	ran, err := runTrials(spec, todo, opts)
 	if err != nil {
-		return nil, fmt.Errorf("scenario %q: %w", spec.Name, err)
+		return nil, err
+	}
+	for k, t := range todo {
+		machines[t.Index] = ran[k]
 	}
 	res := &Result{
 		Spec:     spec,
@@ -327,6 +299,17 @@ func RunOpts(spec *Spec, scale float64, opts RunOptions) (*Result, error) {
 	res.Fleet = aggregate(spec, machines)
 	spAgg.End()
 	return res, nil
+}
+
+// compile resolves a validated spec's fleet under the compile phase and
+// trace span.
+func compile(spec *Spec, scale float64, tr *obs.Tracer) []MachineTrial {
+	sp := tr.Start("compile", "scenario", 0)
+	ct := phaseCompile.Start()
+	trials := spec.Compile(scale)
+	phaseCompile.Stop(ct)
+	sp.EndArgs(map[string]any{"machines": len(trials)})
+	return trials
 }
 
 // RunByName looks the scenario up in the registry and runs it.

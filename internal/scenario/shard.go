@@ -1,10 +1,6 @@
 package scenario
 
-import (
-	"fmt"
-
-	"repro/internal/runner"
-)
+import "fmt"
 
 // RunShard executes the contiguous machine range [from, to) of the scenario's
 // compiled fleet and returns those members' results, index-ordered. It is the
@@ -29,7 +25,7 @@ func RunShard(spec *Spec, scale float64, from, to int, skip []int, opts RunOptio
 		// a machine-range shard would silently drop that coupling.
 		return nil, fmt.Errorf("scenario %q: scheduled fleets are machine-coupled and cannot shard", spec.Name)
 	}
-	trials := spec.Compile(scale)
+	trials := compile(spec, scale, opts.Trace)
 	if from < 0 || to > len(trials) || from >= to {
 		return nil, fmt.Errorf("scenario %q: shard [%d,%d) outside fleet of %d machines at scale %g",
 			spec.Name, from, to, len(trials), scale)
@@ -47,15 +43,5 @@ func RunShard(spec *Spec, scale float64, from, to int, skip []int, opts RunOptio
 	if len(sub) == 0 {
 		return nil, nil
 	}
-	results, err := runner.MapErrCtx(opts.Context, sub, func(_ int, t MachineTrial) (MachineResult, error) {
-		r, err := runMachine(t, opts)
-		if err == nil && opts.OnMachine != nil {
-			opts.OnMachine(r)
-		}
-		return r, err
-	})
-	if err != nil {
-		return nil, fmt.Errorf("scenario %q: %w", spec.Name, err)
-	}
-	return results, nil
+	return runTrials(spec, sub, opts)
 }

@@ -35,9 +35,9 @@ else
     # both the leap (default) and exact integrators.
     go test -run '^$' -bench 'FleetScenario' \
         -benchmem -benchtime "$HARNESS_BENCHTIME" ./internal/scenario/ | tee -a "$raw"
-    # Mega fleet: the batched engine tiling fleet-diurnal to 100k machines
-    # against the independent per-machine baseline; reports ns per fleet
-    # member summarised and the cross-run dedup hit rate.
+    # Mega fleet: the engine tiling fleet-diurnal to 100k machines against
+    # the independent per-machine reference; reports ns per fleet member
+    # summarised.
     go test -run '^$' -bench 'MegaFleet' \
         -benchmem -benchtime "$HARNESS_BENCHTIME" ./internal/scenario/ | tee -a "$raw"
     # Fleet scheduler: one iteration is a whole scheduled run under both
@@ -62,7 +62,6 @@ awk '
             if ($i == "ns/op") { ns[name] = $(i - 1); found = 1 }
             if ($i == "allocs/op") { allocs[name] = $(i - 1) }
             if ($i == "ns/machine") { nsmach[name] = $(i - 1) }
-            if ($i == "dedup-hit-pct") { dedup[name] = $(i - 1) }
             if ($i ~ /-ms\/run$/) {
                 # Phase-profiler columns ("scenario.step-ms/run") from the
                 # profiled fleet benchmark, folded into a phases_ms object.
@@ -82,7 +81,6 @@ awk '
             key = order[i]
             extra = ""
             if (key in nsmach) extra = extra sprintf(", \"ns_machine\": %s", nsmach[key])
-            if (key in dedup) extra = extra sprintf(", \"dedup_hit_pct\": %s", dedup[key])
             if (key in phases) extra = extra sprintf(", \"phases_ms\": {%s}", phases[key])
             printf "  \"%s\": {\"ns_op\": %s, \"allocs_op\": %s%s}%s\n", \
                 key, ns[key], allocs[key], extra, (i < n ? "," : "")
