@@ -40,6 +40,17 @@ const chaosSpec = `{
 	}
 }`
 
+// chaosFleetSpec is the unscheduled fleet the scenario leg kills: enough
+// machines that a kill after the first few completions lands mid-run, each
+// in its own ambient so every machine simulates for real.
+const chaosFleetSpec = `{
+	"name": "chaos-fleet",
+	"duration_s": 600,
+	"fleet": {"machines": 96, "base_seed": 17, "ambient_spread_c": 4},
+	"machine": {"cores": 2},
+	"workload": [{"kind": "burn", "threads": 1}]
+}`
+
 // chaosChild is one re-execed daemon process.
 type chaosChild struct {
 	cmd  *exec.Cmd
@@ -246,6 +257,86 @@ func TestChaosKillRecovery(t *testing.T) {
 					killAfterRound, len(got), len(want))
 			}
 		})
+	}
+}
+
+// TestChaosKillScenarioResume is the single-node scenario leg: a real daemon
+// is kill -9ed after K "machine" events of a fleet job. Each completion is
+// durable in the job's resume log before it is announced, so the restarted
+// daemon must report at least K machines precomputed, skip them, and export
+// bytes identical to an uninterrupted run.
+func TestChaosKillScenarioResume(t *testing.T) {
+	if testing.Short() {
+		t.Skip("chaos suite re-execs daemons; skipped in -short")
+	}
+	const killAfter = 10
+	req := service.Request{Spec: []byte(chaosFleetSpec)}
+
+	ref := startChild(t, t.TempDir())
+	refClient := service.NewRetryClient(ref.base, chaosRetry())
+	rv, err := refClient.Submit(req)
+	if err != nil {
+		t.Fatalf("reference submit: %v", err)
+	}
+	final, err := refClient.Wait(context.Background(), rv.ID)
+	if err != nil || final.State != service.StateDone {
+		t.Fatalf("reference run: %v (state %s %s)", err, final.State, final.Error)
+	}
+	want := fetchArtifact(t, refClient, rv.ID)
+	ref.sigterm(t)
+
+	dir := t.TempDir()
+	victim := startChild(t, dir)
+	c := service.NewRetryClient(victim.base, chaosRetry())
+	v, err := c.Submit(req)
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	machines := 0
+	ctx, cancel := context.WithCancel(context.Background())
+	_ = c.Stream(ctx, v.ID, func(e service.Event) error {
+		if e.Type == "machine" {
+			if machines++; machines >= killAfter {
+				return fmt.Errorf("kill point reached")
+			}
+		}
+		if e.Type == "done" || e.Type == "error" {
+			return fmt.Errorf("job finished before the kill point: %s", e.Type)
+		}
+		return nil
+	})
+	cancel()
+	if machines < killAfter {
+		t.Fatalf("observed only %d machine events before the stream ended", machines)
+	}
+	victim.kill9(t)
+
+	revived := startChild(t, dir)
+	defer revived.sigterm(t)
+	if !strings.Contains(revived.output(), "recovered 1 interrupted job(s)") {
+		t.Fatalf("restarted daemon did not report recovery:\n%s", revived.output())
+	}
+	c2 := service.NewRetryClient(revived.base, chaosRetry())
+	resumed := ""
+	if err := c2.Stream(context.Background(), v.ID, func(e service.Event) error {
+		if e.Type == "recovered" {
+			resumed = e.Resumed
+		}
+		return nil
+	}); err != nil {
+		t.Fatalf("recovered stream: %v", err)
+	}
+	t.Logf("killed after %d machine events; restart resumed with %q", machines, resumed)
+	var precomputed int
+	if _, err := fmt.Sscanf(resumed, "%d machines precomputed", &precomputed); err != nil || precomputed < killAfter {
+		t.Fatalf("recovered event says %q, want at least %d machines precomputed", resumed, killAfter)
+	}
+	final, err = c2.Job(v.ID)
+	if err != nil || final.State != service.StateDone {
+		t.Fatalf("recovered job: %v (state %s %s)\n%s", err, final.State, final.Error, revived.output())
+	}
+	if got := fetchArtifact(t, c2, v.ID); got != want {
+		t.Fatalf("resumed fleet diverged from uninterrupted reference (%d vs %d bytes)", len(got), len(want))
 	}
 }
 

@@ -28,11 +28,12 @@
 // ordinary daemon with a name tag: every dimd serves the shard endpoints.
 //
 // With -data-dir the daemon is crash-safe: accepted jobs journal to a WAL
-// before the submission is acknowledged, in-flight jobs checkpoint at round
-// barriers, and a restart (clean or kill -9) recovers the job table, warms
-// the result cache from persisted artifacts, and re-runs interrupted jobs to
-// byte-identical results — resuming scheduled runs from their last verified
-// checkpoint.
+// before the submission is acknowledged, in-flight jobs append each finished
+// machine or round checkpoint to a per-job resume log, and a restart (clean
+// or kill -9) recovers the job table, warms the result cache from persisted
+// artifacts, and re-runs interrupted jobs to byte-identical results —
+// skipping finished fleet machines and resuming scheduled runs from their
+// last verified checkpoint.
 //
 // SIGINT/SIGTERM drain gracefully: admission stops (429/503), running jobs
 // finish (up to -drain-timeout, then their contexts are cancelled) and the

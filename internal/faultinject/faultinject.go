@@ -1,6 +1,6 @@
 // Package faultinject is the adversarial test harness's trigger registry:
 // named fault points compiled into durability-critical code paths (WAL
-// fsync, checkpoint rename, worker execution) that stay inert in production
+// fsync and append, worker execution) that stay inert in production
 // and fire deterministically when armed.
 //
 // Arming is explicit — the DIMD_FAULTS environment variable (read by
@@ -11,8 +11,6 @@
 //	DIMD_FAULTS="wal.fsync:3"            fail the 3rd WAL fsync
 //	DIMD_FAULTS="wal.partial"            truncate the 1st WAL record write
 //	DIMD_FAULTS="worker.panic:2"         panic the 2nd job execution
-//	DIMD_FAULTS="checkpoint.kill"        kill -9 the process mid-checkpoint
-//	                                     (between temp-file write and rename)
 //
 // Multiple points are comma-separated. The fast path is a single atomic
 // load when nothing is armed, so instrumented code costs nothing in
@@ -40,10 +38,6 @@ const (
 	// WorkerPanic panics inside the next (or nth) job execution — a bug in
 	// an engine taking down a worker goroutine.
 	WorkerPanic = "worker.panic"
-	// CheckpointKill exits the process with SIGKILL semantics (exit code
-	// 137, no deferred cleanup) between a checkpoint's temp-file write and
-	// its atomic rename — the torn-checkpoint window.
-	CheckpointKill = "checkpoint.kill"
 
 	// Network-class fault points for the distributed tier. All three fire on
 	// the worker side of a coordinator/worker pair, modelling the failure the
@@ -148,15 +142,6 @@ func Hit(name string) bool {
 		return true
 	}
 	return false
-}
-
-// Crash exits the process abruptly (exit code 137, mimicking kill -9: no
-// deferred cleanup, no flushes) if the named point fires on this traversal.
-func Crash(name string) {
-	if Hit(name) {
-		// Bypass any atexit machinery: this models a power cut.
-		os.Exit(137)
-	}
 }
 
 // Error returns a synthetic fault error if the named point fires on this

@@ -23,10 +23,22 @@ type idleSolution struct {
 // without the cache every one of them re-runs the same damped fixed-point
 // iteration twice (once at construction, once for the idle baseline). The
 // solve is a deterministic function of the fingerprinted inputs, so cache
-// hits are bit-identical to fresh solves. sync.Map because trials run
-// concurrently under the runner; duplicate computes on a racing miss store
-// the same value.
-var idleCache sync.Map // fingerprint string -> *idleSolution
+// hits are bit-identical to fresh solves. Trials run concurrently under the
+// runner, hence the lock; duplicate computes on a racing miss store the same
+// value.
+//
+// The memo holds at most maxIdleSolutions entries and is cleared when full:
+// a fleet with a continuous ambient spread gives every machine its own
+// fingerprint, and a long-running daemon runs fleet after fleet. Clearing a
+// pure memo only costs re-solves, never different output.
+var idleCache struct {
+	sync.Mutex
+	m map[string]*idleSolution // fingerprint -> solution
+}
+
+// maxIdleSolutions bounds idleCache: one 1024-machine fleet's worth of
+// distinct configurations (about 1 MB), against a few dozen in a sweep.
+const maxIdleSolutions = 1024
 
 // idleFingerprint captures every input consumed by the all-idle solve: the
 // processor model (leakage and idle-power constants), the RC path and ambient,
@@ -66,9 +78,24 @@ func idleFingerprint(cfg *Config, coupling float64) string {
 // coupling, solving and caching it on first use.
 func idleSolve(cfg *Config, coupling float64) *idleSolution {
 	key := idleFingerprint(cfg, coupling)
-	if v, ok := idleCache.Load(key); ok {
-		return v.(*idleSolution)
+	idleCache.Lock()
+	sol, ok := idleCache.m[key]
+	idleCache.Unlock()
+	if ok {
+		return sol
 	}
+	sol = solveIdle(cfg, coupling)
+	idleCache.Lock()
+	if idleCache.m == nil || len(idleCache.m) >= maxIdleSolutions {
+		idleCache.m = make(map[string]*idleSolution)
+	}
+	idleCache.m[key] = sol
+	idleCache.Unlock()
+	return sol
+}
+
+// solveIdle runs the uncached all-idle solve.
+func solveIdle(cfg *Config, coupling float64) *idleSolution {
 	scratch := NewThermalPath(*cfg)
 	idleChip := cpu.NewChip(cfg.Model)
 	if coupling != 1 {
@@ -82,6 +109,5 @@ func idleSolve(cfg *Config, coupling float64) *idleSolution {
 		sum += float64(t)
 	}
 	sol.mean = units.Celsius(sum / float64(len(junctions)))
-	idleCache.Store(key, sol)
 	return sol
 }

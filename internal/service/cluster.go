@@ -104,7 +104,7 @@ func (s *Service) clusterHeat(ctx context.Context) HeatFrame {
 
 // executeClusteredScenario is execute's KindScenario arm under coordinator
 // mode: shard the fleet across the workers, stream results back into the
-// job's telemetry ring and checkpoint (resumable exactly like a single-node
+// job's telemetry ring and resume log (resumable exactly like a single-node
 // run), then aggregate through the single-node path for byte-identical
 // output.
 func (s *Service) executeClusteredScenario(ctx context.Context, j *Job) (*Artifact, error) {
@@ -115,45 +115,18 @@ func (s *Service) executeClusteredScenario(ctx context.Context, j *Job) (*Artifa
 		return nil, fmt.Errorf("cluster: encoding spec for dispatch: %w", err)
 	}
 
-	// Checkpoint plumbing, identical in shape to execute's single-node arm:
-	// recovered results re-emit and are excluded from dispatch via RunReq.Done;
-	// new results accumulate into the same checkpoint file.
-	var (
-		cpMu      sync.Mutex
-		cpDone    []scenario.MachineResult
-		recovered []scenario.MachineResult
-		doneIdx   []int
-	)
-	if j.checkpoint != nil && len(j.checkpoint.Machines) > 0 {
-		recovered = append(recovered, j.checkpoint.Machines...)
-		sort.Slice(recovered, func(a, b int) bool { return recovered[a].Index < recovered[b].Index })
-		cpDone = append(cpDone, recovered...)
-		for _, m := range recovered {
-			doneIdx = append(doneIdx, m.Index)
-			j.stream.append(Event{Type: "machine", Job: j.ID, Machine: machineEvent(m)})
-		}
-		s.met.resumes.Add(1)
+	// As in execute's single-node arm, recovered results re-emit and skip
+	// dispatch (RunReq.Done), and new ones append to the resume log.
+	recovered := s.resumeMachines(j)
+	doneIdx := make([]int, len(recovered))
+	for i, m := range recovered {
+		doneIdx[i] = m.Index
 	}
 	onResult := func(m scenario.MachineResult) {
 		s.met.fleetViolation.Observe(m.ViolationS)
 		s.heat.observeResult(j.ID, m)
+		s.record(j, JobCheckpoint{Kind: KindScenario, Machines: []scenario.MachineResult{m}})
 		j.stream.append(Event{Type: "machine", Job: j.ID, Machine: machineEvent(m)})
-		if s.store == nil || s.cfg.CheckpointEvery < 0 {
-			return
-		}
-		cpMu.Lock()
-		cpDone = append(cpDone, m)
-		snap := append([]scenario.MachineResult(nil), cpDone...)
-		cpMu.Unlock()
-		sort.Slice(snap, func(a, b int) bool { return snap[a].Index < snap[b].Index })
-		sp := j.trace.Start("checkpoint", "lifecycle", 0)
-		err := s.store.writeCheckpoint(j.ID, &JobCheckpoint{Kind: KindScenario, Machines: snap})
-		sp.EndArgs(map[string]any{"machines": len(snap)})
-		if err == nil {
-			s.met.checkpoints.Add(1)
-		} else {
-			s.met.walErrors.Add(1)
-		}
 	}
 
 	onEvent := func(e cluster.Event) {
@@ -227,10 +200,10 @@ func (s *Service) executeClusteredScenario(ctx context.Context, j *Job) (*Artifa
 			"%d shard(s) ran on the coordinator: no healthy worker available", out.LocalShards)})
 		s.log.Warn("job completed degraded", "job", j.ID, "local_shards", out.LocalShards)
 		s.dumpIncident("degraded", j.ID, fmt.Sprintf(
-			"%d shard(s) degraded to local execution: no healthy worker available", out.LocalShards))
+			"%d shard(s) degraded to local execution: no healthy worker available", out.LocalShards), nil)
 	}
 
-	// Merge: checkpoint-recovered + newly streamed results, index order, then
+	// Merge: resume-recovered + newly streamed results, index order, then
 	// the single-node aggregation path. With full coverage RunOpts simulates
 	// nothing — it validates and folds, so the artifact bytes are exactly what
 	// a single-node run of the same spec produces.

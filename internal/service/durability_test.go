@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/faultinject"
 	"repro/internal/fleetsched"
+	"repro/internal/wal"
 )
 
 // openDurable boots a durable service over dir and tears it down with the
@@ -43,6 +44,37 @@ func waitTerminal(t *testing.T, j *Job) JobView {
 	}
 	t.Fatalf("job %s did not reach a terminal state: %+v", j.ID, j.View())
 	return JobView{}
+}
+
+// writeResume appends records to a job's resume log, as the daemon's resume
+// helper would have before a crash.
+func writeResume(t *testing.T, st *store, jobID string, recs ...*JobCheckpoint) {
+	t.Helper()
+	log, _, err := wal.Open(st.resumePath(jobID), nil)
+	if err != nil {
+		t.Fatalf("open resume log: %v", err)
+	}
+	for _, rec := range recs {
+		appendRecord(t, log, rec)
+	}
+	if err := log.Close(); err != nil {
+		t.Fatalf("close resume log: %v", err)
+	}
+}
+
+// appendRecord appends one durable resume record, as the daemon does.
+func appendRecord(t *testing.T, log *wal.Log, rec *JobCheckpoint) {
+	t.Helper()
+	raw, err := json.Marshal(rec)
+	if err != nil {
+		t.Fatalf("marshal resume record: %v", err)
+	}
+	if err := log.Append(raw); err != nil {
+		t.Fatalf("append resume record: %v", err)
+	}
+	if err := log.Sync(); err != nil {
+		t.Fatalf("sync resume record: %v", err)
+	}
 }
 
 // artifactBytes flattens an artifact for byte-identity comparison.
@@ -406,15 +438,11 @@ func TestRecoveryResumesSchedFromCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatalf("harvest submit: %v", err)
 	}
-	// Steal the last checkpoint before terminal cleanup removes it by
-	// polling the file while the job runs.
-	cpPath := filepath.Join(harvest.cfg.DataDir, "checkpoints", hj.ID+".json")
+	// Steal the last checkpoint before terminal cleanup drops it by polling
+	// the job's resume token (what its resume log folds to) while it runs.
 	for !hj.Terminal() {
-		if raw, err := os.ReadFile(cpPath); err == nil {
-			var cp JobCheckpoint
-			if json.Unmarshal(raw, &cp) == nil && cp.Sched != nil {
-				lastCP = &cp
-			}
+		if cp := hj.resumeToken(); cp != nil && cp.Sched != nil {
+			lastCP = cp
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -438,9 +466,7 @@ func TestRecoveryResumesSchedFromCheckpoint(t *testing.T) {
 			t.Fatalf("append: %v", err)
 		}
 	}
-	if err := st.writeCheckpoint("job-000001", lastCP); err != nil {
-		t.Fatalf("write checkpoint: %v", err)
-	}
+	writeResume(t, st, "job-000001", lastCP)
 	if err := st.close(); err != nil {
 		t.Fatalf("close store: %v", err)
 	}
@@ -504,9 +530,7 @@ func TestRecoveryRejectsCorruptCheckpoint(t *testing.T) {
 	// A checkpoint whose digest matches nothing: replay verification at
 	// round 1 must reject it.
 	tampered := &JobCheckpoint{Kind: KindSched, Sched: &fleetsched.Checkpoint{Round: 1, Digest: "bogus"}}
-	if err := st.writeCheckpoint("job-000001", tampered); err != nil {
-		t.Fatalf("write checkpoint: %v", err)
-	}
+	writeResume(t, st, "job-000001", tampered)
 	if err := st.close(); err != nil {
 		t.Fatalf("close store: %v", err)
 	}

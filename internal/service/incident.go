@@ -62,13 +62,14 @@ func (s *Service) initSLO() {
 	}
 }
 
-// checkSLO re-evaluates every armed burn-rate rule; a breach transition
-// dumps an incident. The faultinject point lets the chaos/CI suites force a
-// "violation storm" breach without out-heating the thermal model.
-func (s *Service) checkSLO(jobID string) {
+// checkSLO re-evaluates every armed burn-rate rule as fin's job finishes; a
+// breach transition dumps an incident. The faultinject point lets the
+// chaos/CI suites force a "violation storm" breach without out-heating the
+// thermal model.
+func (s *Service) checkSLO(fin *journalRecord) {
 	if faultinject.Hit(faultinject.SLOBreach) {
 		s.met.sloBreaches.Add(1)
-		s.dumpIncident("slo:forced", jobID, "injected SLO breach (faultinject slo.breach)")
+		s.dumpIncident("slo:forced", fin.ID, "injected SLO breach (faultinject slo.breach)", fin)
 		return
 	}
 	for _, rule := range s.slo {
@@ -77,9 +78,9 @@ func (s *Service) checkSLO(jobID string) {
 			continue
 		}
 		s.met.sloBreaches.Add(1)
-		s.dumpIncident("slo:"+rule.Name, jobID,
+		s.dumpIncident("slo:"+rule.Name, fin.ID,
 			fmt.Sprintf("burn rate %.3f over %d events exceeds budget %.3f (threshold %gs)",
-				rate, events, rule.Budget, rule.Threshold))
+				rate, events, rule.Budget, rule.Threshold), fin)
 	}
 }
 
@@ -215,15 +216,16 @@ func (il *incidentLog) get(id string) (*Incident, bool) {
 
 // dumpIncident captures the flight recorder and a fleet snapshot under the
 // given reason. It is the auto-dump behind worker panics, degrade-to-local
-// and SLO breaches; callers must not hold s.mu (BuildSnapshot takes it).
-func (s *Service) dumpIncident(reason, jobID, detail string) {
+// and SLO breaches; fin is a finishing job's unpublished terminal record, or
+// nil. Callers must not hold s.mu (the snapshot takes it).
+func (s *Service) dumpIncident(reason, jobID, detail string, fin *journalRecord) {
 	if s.inc == nil {
 		return
 	}
 	inc := &Incident{
 		At: time.Now(), Reason: reason, Job: jobID, Detail: detail,
 		Records:  s.rec.Snapshot(),
-		Snapshot: s.BuildSnapshot(),
+		Snapshot: s.buildSnapshot(fin),
 	}
 	id := s.inc.add(inc)
 	s.met.incidents.Add(1)

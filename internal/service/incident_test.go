@@ -304,7 +304,7 @@ func TestIncidentsSurviveRestart(t *testing.T) {
 	}
 
 	// The ID sequence continues where it left off.
-	svc2.dumpIncident("degraded", "job-test", "sequence probe")
+	svc2.dumpIncident("degraded", "job-test", "sequence probe", nil)
 	sums := svc2.inc.summaries()
 	if len(sums) != 2 || sums[1].ID <= sums[0].ID {
 		t.Errorf("post-restart incident IDs %v, want a continued ascending sequence", sums)

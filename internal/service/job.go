@@ -13,6 +13,7 @@ import (
 	"repro/internal/machine"
 	"repro/internal/obs"
 	"repro/internal/scenario"
+	"repro/internal/wal"
 )
 
 // Job kinds — the vocabulary of Request.Kind. Empty is inferred: an inline
@@ -229,20 +230,21 @@ type Job struct {
 	// the queue-wait histogram measures this process's queue, not the outage.
 	enqueued time.Time
 
-	// recovered marks a job re-enqueued from the journal at boot;
-	// checkpoint, when non-nil, is its surviving resume token. Both are set
-	// single-threaded during recovery, before any worker runs.
-	recovered  bool
-	checkpoint *JobCheckpoint
+	// recovered marks a job re-enqueued from the journal at boot, set before
+	// any worker runs. resume is its open resume log on durable daemons.
+	recovered bool
+	resume    *wal.Log
 
 	// machStates holds final per-machine thermal states captured through the
 	// pure machine.Checkpoint() observer, for the fleet snapshot. Bounded:
 	// only indices below maxSnapshotStates are kept, so the retained set is
-	// deterministic regardless of completion order. Guarded by stMu (its own
-	// lock — captures arrive concurrently from engine workers and must not
-	// contend with the job's state lock).
+	// deterministic regardless of completion order. checkpoint is the resume
+	// token while the job holds a resume log, each durable record folded in
+	// (read it through resumeToken). Both are guarded by stMu (its own lock —
+	// engine workers update them and must not contend with the state lock).
 	stMu       sync.Mutex
 	machStates map[int]machine.State
+	checkpoint *JobCheckpoint
 
 	mu          sync.Mutex
 	state       string

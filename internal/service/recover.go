@@ -3,6 +3,9 @@ package service
 import (
 	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"time"
 
 	"repro/internal/obs"
@@ -30,7 +33,7 @@ type recoveredJob struct {
 //   - failed/canceled jobs restore as terminal records;
 //   - everything else — queued, running, or done-with-a-lost-artifact — is
 //     re-resolved from its submitted record and re-enqueued, resuming from
-//     its persisted checkpoint when one survives. Determinism makes this
+//     its resume log when one survives. Determinism makes this
 //     sound: the rerun produces byte-identical output, so "lost the race to
 //     finish before the crash" degrades to spent CPU, never to divergent
 //     results.
@@ -121,13 +124,23 @@ func (s *Service) recoverFromJournal(rep storeReplay) {
 		default: // queued or running at the crash
 			s.requeueRecovered(j, rj)
 		}
-		s.store.removeCheckpointIfTerminal(j)
 		s.track(j)
+	}
+
+	// Only requeued jobs' open resume logs survive boot. The rest is stale:
+	// logs of terminal jobs or of submissions that never became durable, and
+	// older daemons' <id>.json tokens (those jobs rerun from scratch).
+	dir := filepath.Join(s.store.dir, "checkpoints")
+	ents, _ := os.ReadDir(dir)
+	for _, e := range ents {
+		if j := s.jobs[strings.TrimSuffix(e.Name(), ".wal")]; j == nil || j.resume == nil {
+			_ = os.Remove(filepath.Join(dir, e.Name()))
+		}
 	}
 }
 
 // requeueRecovered re-resolves a recovered in-flight job and puts it back on
-// the queue, attaching any surviving checkpoint. On any impossibility —
+// the queue, attaching any surviving resume token. On any impossibility —
 // unresolvable request, key drift, full queue — the job fails with a message
 // naming the cause; recovery itself never aborts the boot.
 func (s *Service) requeueRecovered(j *Job, rj *recoveredJob) {
@@ -137,6 +150,7 @@ func (s *Service) requeueRecovered(j *Job, rj *recoveredJob) {
 		j.finished = time.Now()
 		s.met.failed.Add(1)
 		s.journal(journalRecord{Op: "failed", ID: j.ID, At: j.finished, Error: msg}, true)
+		s.dropResume(j)
 		j.stream.append(Event{Type: "error", Job: j.ID, State: StateFailed, Error: msg})
 		j.stream.closeStream()
 	}
@@ -160,9 +174,7 @@ func (s *Service) requeueRecovered(j *Job, rj *recoveredJob) {
 	j.recovered = true
 	j.cacheHit = false
 	j.started, j.finished = time.Time{}, time.Time{}
-	if cp, ok := s.store.loadCheckpoint(j.ID); ok && cp.Kind == j.kind {
-		j.checkpoint = cp
-	}
+	s.openResume(j) // the surviving resume log becomes the job's token
 
 	j.state = StateQueued
 	// Same ordering discipline as Submit: the trace and queue span exist
@@ -184,26 +196,17 @@ func (s *Service) requeueRecovered(j *Job, rj *recoveredJob) {
 	j.stream.append(Event{Type: "recovered", Job: j.ID, State: StateQueued, Resumed: j.checkpointProgress()})
 }
 
-// checkpointProgress summarises how much of the job a surviving checkpoint
-// lets the rerun skip or verify-replay, for the "recovered" stream event.
+// checkpointProgress summarises how much of the job its resume token lets
+// the rerun skip or verify-replay, for the "recovered" stream event.
 func (j *Job) checkpointProgress() string {
+	cp := j.resumeToken()
 	switch {
-	case j.checkpoint == nil:
+	case cp == nil:
 		return "from scratch"
-	case j.checkpoint.Sched != nil:
-		return fmt.Sprintf("replay to round %d", j.checkpoint.Sched.Round)
-	case len(j.checkpoint.Machines) > 0:
-		return fmt.Sprintf("%d machines precomputed", len(j.checkpoint.Machines))
+	case cp.Sched != nil:
+		return fmt.Sprintf("replay to round %d", cp.Sched.Round)
 	default:
-		return "from scratch"
-	}
-}
-
-// removeCheckpointIfTerminal clears the resume token of a job that will never
-// run again.
-func (st *store) removeCheckpointIfTerminal(j *Job) {
-	if terminalState(j.state) {
-		st.removeCheckpoint(j.ID)
+		return fmt.Sprintf("%d machines precomputed", len(cp.Machines))
 	}
 }
 

@@ -23,7 +23,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/debug"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -496,9 +495,7 @@ func (s *Service) Cancel(id string) error {
 		s.met.canceled.Add(1)
 		j.mu.Unlock()
 		s.journal(journalRecord{Op: "canceled", ID: j.ID, At: time.Now(), Error: "canceled while queued"}, true)
-		if s.store != nil {
-			s.store.removeCheckpoint(j.ID)
-		}
+		s.dropResume(j)
 		j.stream.append(Event{Type: "done", Job: j.ID, State: StateCanceled})
 		j.stream.closeStream()
 		return nil
@@ -591,6 +588,7 @@ func (s *Service) runJob(j *Job) {
 	s.met.inFlight.Add(1)
 	s.journal(journalRecord{Op: "started", ID: j.ID, At: j.started}, false)
 	j.stream.append(Event{Type: "state", Job: j.ID, State: StateRunning})
+	s.openResume(j)
 	defer func() {
 		r := recover()
 		s.met.inFlight.Add(-1)
@@ -599,33 +597,13 @@ func (s *Service) runJob(j *Job) {
 		}
 		s.met.panics.Add(1)
 		j.trace.Instant("panic", "lifecycle", 0)
-		msg := fmt.Sprintf("worker panic: %v\n%s", r, trimStack(debug.Stack()))
-		// As in the normal terminal path: drop the resume token before the
-		// terminal state becomes observable (the panicking goroutine was the
-		// only checkpoint writer, so nothing is in flight).
-		if s.store != nil {
-			s.store.removeCheckpoint(j.ID)
-		}
-		j.mu.Lock()
-		// Only transition if execute hadn't already finished the job — a
-		// panic after the terminal switch (e.g. in a stream hook) must not
-		// double-finish.
-		if j.state == StateRunning {
-			j.state = StateFailed
-			j.err = msg
-			j.finished = time.Now()
-			j.cancelFunc = nil
-			s.met.failed.Add(1)
-		}
-		j.mu.Unlock()
-		s.journal(journalRecord{Op: "failed", ID: j.ID, At: time.Now(), Error: msg}, true)
-		j.stream.append(Event{Type: "error", Job: j.ID, State: StateFailed, Error: msg})
-		j.stream.closeStream()
-		s.heat.drop(j.ID)
 		s.log.Error("job panicked", "job", j.ID)
-		// The flight recorder's ring still holds the run-up to the panic;
+		msg := fmt.Sprintf("worker panic: %v\n%s", r, trimStack(debug.Stack()))
+		// The flight recorder's ring still holds the run-up to the panic:
 		// dump it with a snapshot before anything else overwrites it.
-		s.dumpIncident("panic", j.ID, fmt.Sprintf("%v", r))
+		s.finish(j, &journalRecord{Op: StateFailed, ID: j.ID, Error: msg}, nil, func(fin *journalRecord) {
+			s.dumpIncident("panic", j.ID, fmt.Sprintf("%v", r), fin)
+		})
 	}()
 
 	art, err := s.execute(ctx, j)
@@ -634,7 +612,17 @@ func (s *Service) runJob(j *Job) {
 	s.met.runSeconds.Observe(busy)
 	spFinal := j.trace.Start("finalize", "lifecycle", 0)
 
-	if err == nil && s.store != nil {
+	// Journal ops are named after the terminal states they record.
+	fin := &journalRecord{Op: StateDone, ID: j.ID}
+	switch {
+	case err == nil:
+		s.met.addSim(art.SimSeconds, busy)
+	case ctx.Err() != nil:
+		fin.Op, fin.Error = StateCanceled, "canceled"
+	default:
+		fin.Op, fin.Error = StateFailed, err.Error()
+	}
+	if fin.Op == StateDone && s.store != nil {
 		// Durability ordering: the artifact must be on disk before the
 		// journal says "done" — recovery trusts the journal, and a "done"
 		// pointing at nothing would serve a hole. (A failed write merely
@@ -647,66 +635,52 @@ func (s *Service) runJob(j *Job) {
 			s.met.walErrors.Add(1)
 		}
 	}
-
-	// The resume token goes away BEFORE the terminal state is published:
-	// execute has returned, so no checkpoint writer is in flight, and an
-	// observer that sees a terminal job must never find a checkpoint file.
-	// (Crash-wise the order is free — a journal without a terminal record
-	// re-runs from scratch either way.)
-	if s.store != nil {
-		s.store.removeCheckpoint(j.ID)
-	}
-
-	j.mu.Lock()
-	j.finished = time.Now()
-	j.cancelFunc = nil
-	switch {
-	case err == nil:
-		j.state = StateDone
-		j.artifact = art
-		s.cache.put(j.Key, art)
-		s.met.completed.Add(1)
-		s.met.addSim(art.SimSeconds, busy)
-	case ctx.Err() != nil:
-		j.state = StateCanceled
-		j.err = "canceled"
-		s.met.canceled.Add(1)
-	default:
-		j.state = StateFailed
-		j.err = err.Error()
-		s.met.failed.Add(1)
-	}
-	state, msg := j.state, j.err
-	finished := j.finished
-	degraded := j.degraded
-	j.mu.Unlock()
-
-	switch state {
-	case StateDone:
-		s.journal(journalRecord{Op: "done", ID: j.ID, At: finished, Degraded: degraded}, true)
-	case StateCanceled:
-		s.journal(journalRecord{Op: "canceled", ID: j.ID, At: finished, Error: msg}, true)
-	default:
-		s.journal(journalRecord{Op: "failed", ID: j.ID, At: finished, Error: msg}, true)
-	}
-
-	if state == StateDone {
-		j.stream.append(Event{Type: "done", Job: j.ID, State: state})
-	} else {
-		j.stream.append(Event{Type: "error", Job: j.ID, State: state, Error: msg})
-	}
-	j.stream.closeStream()
-	spFinal.End()
-	j.trace.Instant(state, "lifecycle", 0)
-	s.heat.drop(j.ID)
-	if state == StateDone {
-		s.log.Info("job done", "job", j.ID, "busy_seconds", busy, "sim_seconds", art.SimSeconds)
-	} else {
-		s.log.Warn("job "+state, "job", j.ID, "error", msg)
-	}
 	// SLO evaluation rides job completion: every terminal job re-judges the
 	// burn rate over the violation/queue-wait histograms it just fed.
-	s.checkSLO(j.ID)
+	s.finish(j, fin, art, s.checkSLO)
+	spFinal.End()
+}
+
+// finish publishes a running job's terminal record fin after everything
+// job-scoped: the resume log goes, fin is journaled, and judge (the SLO check
+// or the panic dump) writes any incident it triggers — so a client that sees
+// the job finished never finds its resume log and always finds its incident.
+// A panic after publication (say in a stream hook) keeps the first outcome.
+func (s *Service) finish(j *Job, fin *journalRecord, art *Artifact, judge func(*journalRecord)) {
+	s.dropResume(j)
+	fin.At = time.Now()
+	fin.Degraded = j.degraded // only this worker goroutine writes it
+	s.journal(*fin, true)
+	judge(fin)
+
+	j.mu.Lock()
+	if j.state == StateRunning {
+		j.state, j.err = fin.Op, fin.Error
+		j.finished = fin.At
+		j.cancelFunc = nil
+		switch fin.Op {
+		case StateDone:
+			j.artifact = art
+			s.cache.put(j.Key, art)
+			s.met.completed.Add(1)
+		case StateCanceled:
+			s.met.canceled.Add(1)
+		default:
+			s.met.failed.Add(1)
+		}
+	}
+	j.mu.Unlock()
+
+	if fin.Op == StateDone {
+		j.stream.append(Event{Type: "done", Job: j.ID, State: fin.Op})
+		s.log.Info("job done", "job", j.ID, "sim_seconds", art.SimSeconds)
+	} else {
+		j.stream.append(Event{Type: "error", Job: j.ID, State: fin.Op, Error: fin.Error})
+		s.log.Warn("job "+fin.Op, "job", j.ID, "error", fin.Error)
+	}
+	j.stream.closeStream()
+	j.trace.Instant(fin.Op, "lifecycle", 0)
+	s.heat.drop(j.ID)
 }
 
 // trimStack keeps a panic stack readable in an error field: the goroutine
@@ -722,7 +696,7 @@ func trimStack(stack []byte) string {
 
 // execute dispatches the resolved work item to the matching engine, wiring
 // the job's telemetry stream into the engine hooks — and, on durable
-// daemons, the checkpoint hooks that let a restarted daemon resume this job.
+// daemons, the resume log that lets a restarted daemon resume this job.
 func (s *Service) execute(ctx context.Context, j *Job) (*Artifact, error) {
 	if faultinject.Hit(faultinject.WorkerPanic) {
 		panic("faultinject: worker.panic")
@@ -752,55 +726,25 @@ func (s *Service) execute(ctx context.Context, j *Job) (*Artifact, error) {
 		if s.clu != nil {
 			return s.executeClusteredScenario(ctx, j)
 		}
+		// Each finished machine is recorded before it is announced; a
+		// recovered job's come back via Completed, and the rerun skips them.
 		opts := scenario.RunOptions{
 			Context:        ctx,
 			TelemetryEvery: s.cfg.TelemetryEvery,
 			Trace:          j.trace,
+			Completed:      s.resumeMachines(j),
 			OnTelemetry: func(sm scenario.MachineSample) {
 				s.heat.observeSample(j.ID, sm)
 				j.stream.append(Event{Type: "telemetry", Job: j.ID, Machine: sampleEvent(sm)})
 			},
+			OnMachine: func(m scenario.MachineResult) {
+				s.met.fleetViolation.Observe(m.ViolationS)
+				s.record(j, JobCheckpoint{Kind: KindScenario, Machines: []scenario.MachineResult{m}})
+				j.stream.append(Event{Type: "machine", Job: j.ID, Machine: machineEvent(m)})
+			},
 			// Per-machine thermal state for the fleet snapshot, via the pure
 			// machine.Checkpoint() observer (bounded; see captureState).
 			OnState: j.captureState,
-		}
-		// Checkpointing for independent-machine fleets is completion
-		// accumulation: finished machines persist as they land, and a
-		// recovered job hands them back via Completed so the rerun skips
-		// them. The recovered results re-emit as "machine" events up front so
-		// a resumed stream still carries every completion.
-		var (
-			cpMu   sync.Mutex
-			cpDone []scenario.MachineResult
-		)
-		if j.checkpoint != nil && len(j.checkpoint.Machines) > 0 {
-			cpDone = append(cpDone, j.checkpoint.Machines...)
-			sort.Slice(cpDone, func(a, b int) bool { return cpDone[a].Index < cpDone[b].Index })
-			opts.Completed = append([]scenario.MachineResult(nil), cpDone...)
-			for _, m := range cpDone {
-				j.stream.append(Event{Type: "machine", Job: j.ID, Machine: machineEvent(m)})
-			}
-			s.met.resumes.Add(1)
-		}
-		opts.OnMachine = func(m scenario.MachineResult) {
-			s.met.fleetViolation.Observe(m.ViolationS)
-			j.stream.append(Event{Type: "machine", Job: j.ID, Machine: machineEvent(m)})
-			if s.store == nil || s.cfg.CheckpointEvery < 0 {
-				return
-			}
-			cpMu.Lock()
-			cpDone = append(cpDone, m)
-			snap := append([]scenario.MachineResult(nil), cpDone...)
-			cpMu.Unlock()
-			sort.Slice(snap, func(a, b int) bool { return snap[a].Index < snap[b].Index })
-			sp := j.trace.Start("checkpoint", "lifecycle", 0)
-			err := s.store.writeCheckpoint(j.ID, &JobCheckpoint{Kind: KindScenario, Machines: snap})
-			sp.EndArgs(map[string]any{"machines": len(snap)})
-			if err == nil {
-				s.met.checkpoints.Add(1)
-			} else {
-				s.met.walErrors.Add(1)
-			}
 		}
 		res, err := scenario.RunOpts(r.spec, r.scale, opts)
 		if err != nil {
@@ -821,21 +765,14 @@ func (s *Service) execute(ctx context.Context, j *Job) (*Artifact, error) {
 				j.stream.append(Event{Type: "round", Job: j.ID, Round: &rt})
 			},
 		}
-		if s.store != nil && s.cfg.CheckpointEvery > 0 {
+		if j.resume != nil {
 			fsOpts.CheckpointEvery = s.cfg.CheckpointEvery
 			fsOpts.OnCheckpoint = func(cp fleetsched.Checkpoint) {
-				sp := j.trace.Start("checkpoint", "lifecycle", 0)
-				err := s.store.writeCheckpoint(j.ID, &JobCheckpoint{Kind: KindSched, Sched: &cp})
-				sp.EndArgs(map[string]any{"round": cp.Round})
-				if err == nil {
-					s.met.checkpoints.Add(1)
-				} else {
-					s.met.walErrors.Add(1)
-				}
+				s.record(j, JobCheckpoint{Kind: KindSched, Sched: &cp})
 			}
 		}
-		if j.checkpoint != nil && j.checkpoint.Sched != nil {
-			fsOpts.Resume = j.checkpoint.Sched
+		if cp := j.resumeToken(); cp != nil {
+			fsOpts.Resume = cp.Sched
 		}
 		res, err := fleetsched.RunOpts(r.spec, r.policy, r.scale, fsOpts)
 		if err != nil && fsOpts.Resume != nil && ctx.Err() == nil {

@@ -16,9 +16,9 @@ import (
 const SnapshotVersion = 1
 
 // Snapshot is the full-state document behind GET /v1/snapshot: queue,
-// in-flight jobs with their WAL-journaled checkpoints, per-machine thermal
-// states (captured through the pure machine.Checkpoint() observer), cluster
-// health tables, and the live heat frame — everything an operator needs to
+// in-flight jobs with their resume tokens, per-machine thermal states
+// (captured through the pure machine.Checkpoint() observer), cluster health
+// tables, and the live heat frame — everything an operator needs to
 // reconstruct an incident offline.
 //
 // The document is canonical and content-hashed: Hash covers only the
@@ -61,10 +61,9 @@ type SnapshotDaemon struct {
 }
 
 // JobSnapshot is one job's entry: identity, state, the canonical spec it
-// resolved to, its surviving checkpoint (the WAL-journaled resume token for
-// in-flight jobs on durable daemons), and the retained per-machine thermal
-// states. Spec plus Checkpoint is exactly what `dimctl incident export`
-// turns into a replayable bundle.
+// resolved to, its resume token (what an in-flight job's resume log folds
+// to), and the retained per-machine thermal states. Spec plus Checkpoint is
+// exactly what `dimctl incident export` turns into a replayable bundle.
 type JobSnapshot struct {
 	ID     string  `json:"id"`
 	Key    string  `json:"key"`
@@ -91,7 +90,10 @@ type JobSnapshot struct {
 // BuildSnapshot captures the daemon's current state. It takes the job table
 // lock briefly per job and never blocks the engines: every field read is an
 // observation of already-computed state.
-func (s *Service) BuildSnapshot() *Snapshot {
+func (s *Service) BuildSnapshot() *Snapshot { return s.buildSnapshot(nil) }
+
+// buildSnapshot shows fin's job in the terminal state fin is about to publish.
+func (s *Service) buildSnapshot(fin *journalRecord) *Snapshot {
 	t0 := time.Now()
 	snap := &Snapshot{
 		Version: SnapshotVersion,
@@ -118,6 +120,9 @@ func (s *Service) BuildSnapshot() *Snapshot {
 
 	for _, j := range s.Jobs() {
 		v := j.View()
+		if fin != nil && fin.ID == j.ID {
+			v.State, v.Error, v.FinishedAt = fin.Op, fin.Error, &fin.At
+		}
 		js := JobSnapshot{
 			ID: j.ID, Key: j.Key, Kind: j.kind, Name: j.name,
 			Policy: j.policy, Scale: j.scale,
@@ -137,16 +142,7 @@ func (s *Service) BuildSnapshot() *Snapshot {
 				js.Spec = raw
 			}
 		}
-		// The resume token: for durable daemons the WAL-adjacent checkpoint
-		// file is authoritative (it is what recovery would hand the rerun);
-		// in-memory daemons fall back to a recovered job's retained token.
-		if s.store != nil {
-			if cp, ok := s.store.loadCheckpoint(j.ID); ok {
-				js.Checkpoint = cp
-			}
-		} else if j.checkpoint != nil {
-			js.Checkpoint = j.checkpoint
-		}
+		js.Checkpoint = j.resumeToken()
 		snap.Jobs = append(snap.Jobs, js)
 	}
 

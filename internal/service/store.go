@@ -8,9 +8,6 @@ import (
 	"time"
 
 	"repro/internal/export"
-	"repro/internal/faultinject"
-	"repro/internal/fleetsched"
-	"repro/internal/scenario"
 	"repro/internal/wal"
 )
 
@@ -18,13 +15,13 @@ import (
 //
 //	journal.wal          append-only job journal (see journalRecord)
 //	artifacts/<key>.json completed artifacts, content-addressed by work key
-//	checkpoints/<id>.json in-flight job checkpoints, keyed by job ID
+//	checkpoints/<id>.wal in-flight jobs' resume logs, keyed by job ID
 //
 // The journal is the source of truth for *what* was asked and *whether* it
-// finished; artifacts hold the (re-creatable) outputs; checkpoints hold the
-// (re-creatable) resume tokens. Recovery therefore never trusts an artifact
-// or checkpoint the journal does not vouch for, and losing either merely
-// costs recomputation, never correctness.
+// finished; artifacts hold the (re-creatable) outputs; resume logs hold the
+// (re-creatable) resume tokens (see JobCheckpoint). Recovery therefore never
+// trusts an artifact or resume log the journal does not vouch for, and losing
+// either merely costs recomputation, never correctness.
 //
 // Write ordering is the crash-safety invariant: an artifact file is fully
 // durable (written to a temp file, fsynced, atomically renamed) before the
@@ -67,19 +64,6 @@ type journalRecord struct {
 	// execution for one or more shards, so a restarted daemon restores the
 	// job's degraded flag along with its artifact.
 	Degraded bool `json:"degraded,omitempty"`
-}
-
-// JobCheckpoint is the on-disk resume token for one in-flight job, shaped by
-// kind: scenario jobs accumulate completed per-machine results (independent
-// machines — finished ones are simply not re-simulated); sched jobs carry the
-// engine's round-barrier checkpoint (resume = verified deterministic replay).
-// Experiment and sched-compare jobs carry nothing and re-run from scratch —
-// they are deterministic, so the recomputed bytes are identical; only the
-// spent CPU is lost.
-type JobCheckpoint struct {
-	Kind     string                   `json:"kind"`
-	Machines []scenario.MachineResult `json:"machines,omitempty"`
-	Sched    *fleetsched.Checkpoint   `json:"sched,omitempty"`
 }
 
 // storeReplay is what openStore recovered from the data directory.
@@ -143,10 +127,6 @@ func (st *store) artifactPath(key string) string {
 	return filepath.Join(st.dir, "artifacts", key+".json")
 }
 
-func (st *store) checkpointPath(jobID string) string {
-	return filepath.Join(st.dir, "checkpoints", jobID+".json")
-}
-
 // persistedArtifact is Artifact's on-disk form. Strings and float64s
 // round-trip JSON exactly, so a loaded artifact is byte-identical to the one
 // the engine produced.
@@ -192,46 +172,13 @@ func (st *store) loadArtifact(key string) (*Artifact, bool) {
 	return art, true
 }
 
-// writeCheckpoint durably stores a job's resume token.
-func (st *store) writeCheckpoint(jobID string, cp *JobCheckpoint) error {
-	raw, err := json.Marshal(cp)
-	if err != nil {
-		return fmt.Errorf("service: marshaling checkpoint: %w", err)
-	}
-	return atomicWrite(st.checkpointPath(jobID), raw)
-}
-
-// loadCheckpoint reads a job's resume token; ok is false when absent or
-// unreadable (the job then re-runs from scratch).
-func (st *store) loadCheckpoint(jobID string) (*JobCheckpoint, bool) {
-	raw, err := os.ReadFile(st.checkpointPath(jobID))
-	if err != nil {
-		return nil, false
-	}
-	var cp JobCheckpoint
-	if err := json.Unmarshal(raw, &cp); err != nil {
-		return nil, false
-	}
-	return &cp, true
-}
-
-// removeCheckpoint drops a terminal job's resume token. Best-effort: a
-// leftover checkpoint is ignored at recovery (the journal says the job is
-// terminal).
-func (st *store) removeCheckpoint(jobID string) {
-	_ = os.Remove(st.checkpointPath(jobID))
-}
-
 func (st *store) close() error {
 	return st.log.Close()
 }
 
 // atomicWrite lands data at path via temp file + fsync + rename, so readers
 // (including recovery after a mid-write crash) observe either the old
-// complete file or the new complete file, never a torn hybrid. The injected
-// crash point sits exactly in the vulnerable window — after the temp bytes
-// are durable, before the rename commits them — which the chaos suite uses
-// to prove the "no torn files" claim.
+// complete file or the new complete file, never a torn hybrid.
 func atomicWrite(path string, data []byte) error {
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
@@ -252,7 +199,6 @@ func atomicWrite(path string, data []byte) error {
 		os.Remove(tmp)
 		return err
 	}
-	faultinject.Crash(faultinject.CheckpointKill)
 	if err := os.Rename(tmp, path); err != nil {
 		os.Remove(tmp)
 		return err
