@@ -107,7 +107,7 @@ func (s *Service) clusterHeat(ctx context.Context) HeatFrame {
 // job's telemetry ring and resume log (resumable exactly like a single-node
 // run), then aggregate through the single-node path for byte-identical
 // output.
-func (s *Service) executeClusteredScenario(ctx context.Context, j *Job) (*Artifact, error) {
+func (s *Service) executeClusteredScenario(ctx context.Context, j *Job, w *resumeWriter) (*Artifact, error) {
 	r := j.res
 	n := len(r.spec.Compile(r.scale))
 	raw, err := json.Marshal(r.spec)
@@ -116,7 +116,8 @@ func (s *Service) executeClusteredScenario(ctx context.Context, j *Job) (*Artifa
 	}
 
 	// As in execute's single-node arm, recovered results re-emit and skip
-	// dispatch (RunReq.Done), and new ones append to the resume log.
+	// dispatch (RunReq.Done), and new ones go through the job's resume
+	// writer, announced once durable.
 	recovered := s.resumeMachines(j)
 	doneIdx := make([]int, len(recovered))
 	for i, m := range recovered {
@@ -125,8 +126,8 @@ func (s *Service) executeClusteredScenario(ctx context.Context, j *Job) (*Artifa
 	onResult := func(m scenario.MachineResult) {
 		s.met.fleetViolation.Observe(m.ViolationS)
 		s.heat.observeResult(j.ID, m)
-		s.record(j, JobCheckpoint{Kind: KindScenario, Machines: []scenario.MachineResult{m}})
-		j.stream.append(Event{Type: "machine", Job: j.ID, Machine: machineEvent(m)})
+		w.record(JobCheckpoint{Kind: KindScenario, Machines: []scenario.MachineResult{m}},
+			&Event{Type: "machine", Job: j.ID, Machine: machineEvent(m)})
 	}
 
 	onEvent := func(e cluster.Event) {

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"sync"
 
 	"repro/internal/fleetsched"
 	"repro/internal/scenario"
@@ -64,29 +65,153 @@ func (s *Service) openResume(j *Job) {
 	j.stMu.Unlock()
 }
 
-// record is the one checkpoint writer for execute's resumable arms. It folds
-// rec into the token only once rec is durable (concurrent engine goroutines
-// share fsyncs), so the snapshot never shows progress a crash could lose.
-func (s *Service) record(j *Job, rec JobCheckpoint) {
-	if j.resume == nil {
+// resumeWriter is a running job's group-commit writer for its resume log.
+// Engine hooks marshal a record on their own goroutine, queue it with the
+// stream event that announces it, and return at once. One goroutine takes
+// everything queued while the previous fsync ran, appends it, syncs once,
+// folds the batch into the job's token and only then announces it: nothing
+// is announced, and the snapshot shows nothing, that a crash could lose.
+// Without a resume log (in-memory daemons, unresumable kinds) there is no
+// goroutine and record announces at once.
+type resumeWriter struct {
+	s *Service
+	j *Job
+
+	mu       sync.Mutex
+	queue    []pendingRecord // at most the job's own record count
+	stopping bool
+	wake     chan struct{} // buffered 1: the queue or stopping changed
+	done     chan struct{} // closed when the goroutine exits
+
+	// failed is set, by the goroutine only, once a batch fails to write. A
+	// failed append can leave a torn frame that ends the log's replay, and a
+	// failed fsync leaves what it covered in doubt, so nothing after either
+	// could be relied on: later batches are not written.
+	failed bool
+}
+
+// pendingRecord is one queued record: its encoded payload, the value folded
+// into the token once it is durable, and the event announcing it (nil for
+// sched checkpoints, which nothing announces).
+type pendingRecord struct {
+	raw []byte
+	rec JobCheckpoint
+	ev  *Event
+}
+
+// startResumeWriter starts j's writer. execute runs it for the span of the
+// engine run and stops it before returning, so every record is durable and
+// announced before the job's terminal state, and none is appended after
+// dropResume.
+func (s *Service) startResumeWriter(j *Job) *resumeWriter {
+	w := &resumeWriter{s: s, j: j}
+	if j.resume != nil {
+		w.wake = make(chan struct{}, 1)
+		w.done = make(chan struct{})
+		go w.run()
+	}
+	return w
+}
+
+// record queues rec and the event announcing it; an engine hook calls it
+// and never waits on the disk.
+func (w *resumeWriter) record(rec JobCheckpoint, ev *Event) {
+	if w.done == nil {
+		w.announce(ev)
 		return
 	}
-	sp := j.trace.Start("checkpoint", "lifecycle", 0)
 	raw, err := json.Marshal(rec)
-	if err == nil {
-		if err = j.resume.Append(raw); err == nil {
-			err = j.resume.Sync()
+	if err != nil {
+		w.s.met.walErrors.Add(1)
+		w.announce(ev)
+		return
+	}
+	w.mu.Lock()
+	w.queue = append(w.queue, pendingRecord{raw: raw, rec: rec, ev: ev})
+	w.mu.Unlock()
+	w.signal()
+}
+
+// stop commits what is still queued and waits for the goroutine to exit.
+// The engine's hooks must have returned.
+func (w *resumeWriter) stop() {
+	if w.done == nil {
+		return
+	}
+	w.mu.Lock()
+	w.stopping = true
+	w.mu.Unlock()
+	w.signal()
+	<-w.done
+}
+
+func (w *resumeWriter) signal() {
+	select {
+	case w.wake <- struct{}{}:
+	default:
+	}
+}
+
+func (w *resumeWriter) announce(ev *Event) {
+	if ev != nil {
+		w.j.stream.append(*ev)
+	}
+}
+
+func (w *resumeWriter) run() {
+	defer close(w.done)
+	var batch []pendingRecord
+	for {
+		<-w.wake
+		w.mu.Lock()
+		batch, w.queue = w.queue, batch
+		stopping := w.stopping
+		w.mu.Unlock()
+		if len(batch) > 0 {
+			w.commit(batch)
+		}
+		clear(batch)
+		batch = batch[:0]
+		if stopping {
+			return
 		}
 	}
-	sp.End()
-	if err != nil {
-		s.met.walErrors.Add(1)
-		return
+}
+
+// commit makes one batch durable with a single fsync, folds it into the
+// token and announces it. A batch that fails to write, or follows one that
+// did, is one WAL error; its events are still announced, but the token never
+// claims it.
+func (w *resumeWriter) commit(batch []pendingRecord) {
+	j := w.j
+	sp := j.trace.Start("checkpoint", "lifecycle", 0)
+	for _, p := range batch {
+		if w.failed {
+			break
+		}
+		w.failed = j.resume.Append(p.raw) != nil
 	}
-	s.met.checkpoints.Add(1)
-	j.stMu.Lock()
-	j.checkpoint.fold(&rec)
-	j.stMu.Unlock()
+	if !w.failed {
+		w.failed = j.resume.Sync() != nil
+	}
+	sp.End()
+	if w.failed {
+		w.s.met.walErrors.Add(1)
+	} else {
+		w.s.met.checkpoints.Add(int64(len(batch)))
+		j.stMu.Lock()
+		for i := range batch {
+			j.checkpoint.fold(&batch[i].rec)
+		}
+		j.stMu.Unlock()
+	}
+	evs := make([]Event, 0, len(batch))
+	for _, p := range batch {
+		if p.ev != nil {
+			evs = append(evs, *p.ev)
+		}
+	}
+	j.stream.append(evs...)
 }
 
 // dropResume closes and deletes j's resume log and clears its token.

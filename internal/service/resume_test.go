@@ -6,9 +6,12 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/faultinject"
 	"repro/internal/scenario"
 )
 
@@ -179,5 +182,277 @@ func TestStaleResumeFilesSweptAtBoot(t *testing.T) {
 	}
 	if got := svc.met.resumes.Load(); got != 1 {
 		t.Fatalf("resumes counter = %d, want 1: the requeued job lost its log", got)
+	}
+}
+
+// resumeFleet is a fleet-diurnal request whose continuous ambient spread
+// puts every machine in its own group, so completions land concurrently from
+// every engine goroutine.
+func resumeFleet(t *testing.T, name string, machines int) Request {
+	t.Helper()
+	spec, ok := scenario.Get("fleet-diurnal")
+	if !ok {
+		t.Fatal("fleet-diurnal not registered")
+	}
+	spec.Name = name
+	spec.Fleet = scenario.FleetSpec{Machines: machines, BaseSeed: 9200, AmbientSpreadC: 6}
+	raw, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatalf("marshal spec: %v", err)
+	}
+	return Request{Spec: raw, Scale: 0.05}
+}
+
+// TestResumeLogAnnouncedIsDurable: a "machine" event becomes readable only
+// once that machine is in the job's resume token — the folded, fsynced value
+// the snapshot reads. The stream tap sees every event at the moment it is
+// appended, before any subscriber can read it; a subscriber reading
+// alongside checks the same from the outside.
+func TestResumeLogAnnouncedIsDurable(t *testing.T) {
+	const machines = 64
+	svc := openDurable(t, t.TempDir(), Config{Workers: 1, DefaultScale: 1})
+	r, err := svc.resolve(resumeFleet(t, "announce-durable", machines))
+	if err != nil {
+		t.Fatalf("resolve: %v", err)
+	}
+	j := &Job{ID: "job-announce", Key: r.key, kind: r.kind, res: r, stream: svc.newJobStream()}
+	svc.openResume(j)
+	defer func() { j.resume.Close() }()
+
+	durable := func(e Event) bool {
+		cp := j.resumeToken()
+		if cp == nil {
+			return false
+		}
+		for _, m := range cp.Machines {
+			if m.Index == e.Machine.Index {
+				return true
+			}
+		}
+		return false
+	}
+	// Guarded by the stream lock: machine events appended, and those of them
+	// appended before they were durable.
+	var announced int
+	var early []int
+	j.stream.onAppend = func(e Event) {
+		if e.Type != "machine" {
+			return
+		}
+		if announced++; !durable(e) {
+			early = append(early, e.Machine.Index)
+		}
+	}
+
+	read := make(chan []int) // machine indices the subscriber saw undurable
+	go func() {
+		var bad []int
+		for seq := 0; ; {
+			events, next, closed, _ := j.stream.since(seq)
+			for _, e := range events {
+				if e.Type == "machine" && !durable(e) {
+					bad = append(bad, e.Machine.Index)
+				}
+			}
+			if seq = next; closed {
+				read <- bad
+				return
+			}
+			<-j.stream.wait(seq)
+		}
+	}()
+
+	if _, err := svc.execute(context.Background(), j); err != nil {
+		t.Fatalf("execute: %v", err)
+	}
+	j.stream.closeStream()
+	bad := <-read
+	j.stream.mu.Lock()
+	defer j.stream.mu.Unlock()
+	if len(early) > 0 || len(bad) > 0 {
+		t.Fatalf("machines announced before their record was durable: at append %v, as read %v", early, bad)
+	}
+	if announced != machines {
+		t.Fatalf("%d machine events, want %d", announced, machines)
+	}
+	if got := svc.met.checkpoints.Load(); got != machines {
+		t.Fatalf("dimd_checkpoints_written_total = %d, want %d", got, machines)
+	}
+}
+
+// TestResumeLogWriterEndsWithJob: a job's resume writer never outlives it.
+// Whether the job is canceled mid-run, panics, or is cut off by Shutdown,
+// once its stream closes the goroutine count is back to its baseline, every
+// announced machine was written exactly once and nothing was written after
+// the log was dropped (a late append would be a WAL error), and
+// checkpoints/ holds only the logs of jobs requeued at the next boot.
+func TestResumeLogWriterEndsWithJob(t *testing.T) {
+	// settle waits for the goroutine count to come back to base; a writer
+	// outliving its job keeps it above.
+	settle := func(t *testing.T, base int) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > base; runtime.Gosched() {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d goroutines after the job ended, baseline %d", runtime.NumGoroutine(), base)
+			}
+		}
+	}
+	// drain reads j's stream to its close, calling onMachine at each
+	// "machine" event, and returns how many it saw.
+	drain := func(j *Job, onMachine func()) int {
+		machines := 0
+		for seq := 0; ; {
+			events, next, closed, _ := j.stream.since(seq)
+			for _, e := range events {
+				if e.Type == "machine" {
+					if machines++; machines == 1 && onMachine != nil {
+						onMachine()
+					}
+				}
+			}
+			if seq = next; closed {
+				return machines
+			}
+			<-j.stream.wait(seq)
+		}
+	}
+	// onlyRequeued reopens dir and checks every resume log there belongs to
+	// a job this boot requeued.
+	onlyRequeued := func(t *testing.T, dir string) {
+		t.Helper()
+		svc := openDurable(t, dir, Config{Workers: 1, DefaultScale: 1})
+		ents, err := os.ReadDir(filepath.Join(dir, "checkpoints"))
+		if err != nil {
+			t.Fatalf("read checkpoints dir: %v", err)
+		}
+		for _, e := range ents {
+			j, err := svc.Job(strings.TrimSuffix(e.Name(), ".wal"))
+			if err != nil || !j.recovered {
+				t.Fatalf("checkpoints/%s belongs to no requeued job", e.Name())
+			}
+		}
+	}
+	// check runs once j's stream closed, then shuts svc down and reboots
+	// its data dir.
+	check := func(t *testing.T, svc *Service, dir string, j *Job, announced int, base int) {
+		t.Helper()
+		settle(t, base)
+		if got := svc.met.walErrors.Load(); got != 0 {
+			t.Fatalf("dimd_wal_errors_total = %d: a record was written after its log was dropped", got)
+		}
+		if got := svc.met.checkpoints.Load(); got != int64(announced) {
+			t.Fatalf("%d records written, %d machines announced", got, announced)
+		}
+		if j.resume != nil || j.resumeToken() != nil {
+			t.Fatalf("terminal job still holds its resume log or token")
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		_ = svc.Shutdown(ctx) // the shutdown leg's second call errors
+		onlyRequeued(t, dir)
+	}
+
+	t.Run("cancel", func(t *testing.T) {
+		dir := t.TempDir()
+		svc := openDurable(t, dir, Config{Workers: 1, DefaultScale: 1})
+		base := runtime.NumGoroutine()
+		j, err := svc.Submit(resumeFleet(t, "writer-cancel", 256))
+		if err != nil {
+			t.Fatalf("submit: %v", err)
+		}
+		announced := drain(j, func() { _ = svc.Cancel(j.ID) })
+		if v := j.View(); v.State != StateCanceled {
+			t.Fatalf("job finished %s, want canceled", v.State)
+		}
+		check(t, svc, dir, j, announced, base)
+	})
+
+	t.Run("panic", func(t *testing.T) {
+		if err := faultinject.Configure(faultinject.WorkerPanic); err != nil {
+			t.Fatalf("arm fault: %v", err)
+		}
+		defer faultinject.Reset()
+		dir := t.TempDir()
+		svc := openDurable(t, dir, Config{Workers: 1, DefaultScale: 1})
+		base := runtime.NumGoroutine()
+		j, err := svc.Submit(resumeFleet(t, "writer-panic", 16))
+		if err != nil {
+			t.Fatalf("submit: %v", err)
+		}
+		announced := drain(j, nil)
+		if v := j.View(); v.State != StateFailed || !strings.Contains(v.Error, "worker panic") {
+			t.Fatalf("job finished %s (%s), want a worker panic", v.State, v.Error)
+		}
+		check(t, svc, dir, j, announced, base)
+	})
+
+	t.Run("shutdown", func(t *testing.T) {
+		dir := t.TempDir()
+		base := runtime.NumGoroutine()
+		svc, err := Open(Config{Workers: 1, DefaultScale: 1, DataDir: dir})
+		if err != nil {
+			t.Fatalf("open: %v", err)
+		}
+		j, err := svc.Submit(resumeFleet(t, "writer-shutdown", 256))
+		if err != nil {
+			t.Fatalf("submit: %v", err)
+		}
+		shut := make(chan error, 1)
+		announced := drain(j, func() {
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel() // no grace: cut the in-flight job off
+			go func() { shut <- svc.Shutdown(ctx) }()
+		})
+		if err := <-shut; err == nil {
+			t.Fatalf("shutdown with an expired context drained without cancelling")
+		}
+		if v := j.View(); v.State != StateCanceled {
+			t.Fatalf("job finished %s, want canceled", v.State)
+		}
+		check(t, svc, dir, j, announced, base)
+	})
+}
+
+// TestResumeLogTornWriteClaimsNothingLost: after a torn append (the
+// wal.partial fault on the log's fifth record) nothing later in the log can
+// be recovered, so every machine the token claims — what the snapshot shows
+// — must be one a reopened log folds back.
+func TestResumeLogTornWriteClaimsNothingLost(t *testing.T) {
+	svc := openDurable(t, t.TempDir(), Config{Workers: 1, DefaultScale: 1})
+	r, err := svc.resolve(resumeFleet(t, "torn-write", 64))
+	if err != nil {
+		t.Fatalf("resolve: %v", err)
+	}
+	j := &Job{ID: "job-torn-write", Key: r.key, kind: r.kind, res: r, stream: svc.newJobStream()}
+	svc.openResume(j)
+	if err := faultinject.Configure(faultinject.WALPartial + ":5"); err != nil {
+		t.Fatalf("arm fault: %v", err)
+	}
+	defer faultinject.Reset()
+	if _, err := svc.execute(context.Background(), j); err != nil {
+		t.Fatalf("execute: %v", err)
+	}
+	if svc.met.walErrors.Load() == 0 {
+		t.Fatalf("the torn append was not counted as a WAL error")
+	}
+	var claimed []scenario.MachineResult // nil if the tear hit the first batch
+	if cp := j.resumeToken(); cp != nil {
+		claimed = cp.Machines
+	}
+	j.resume.Close()
+	reopened := &Job{ID: j.ID, kind: r.kind}
+	svc.openResume(reopened)
+	defer reopened.resume.Close()
+	recovered := map[int]bool{}
+	if cp := reopened.resumeToken(); cp != nil {
+		for _, m := range cp.Machines {
+			recovered[m.Index] = true
+		}
+	}
+	for _, m := range claimed {
+		if !recovered[m.Index] {
+			t.Fatalf("token claims machine %d, which the log does not recover (%d claimed, %d recovered)",
+				m.Index, len(claimed), len(recovered))
+		}
 	}
 }

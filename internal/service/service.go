@@ -637,14 +637,17 @@ func (s *Service) runJob(j *Job) {
 	}
 	// SLO evaluation rides job completion: every terminal job re-judges the
 	// burn rate over the violation/queue-wait histograms it just fed.
-	s.finish(j, fin, art, s.checkSLO)
-	spFinal.End()
+	s.finish(j, fin, art, func(fin *journalRecord) {
+		s.checkSLO(fin)
+		spFinal.End()
+	})
 }
 
 // finish publishes a running job's terminal record fin after everything
 // job-scoped: the resume log goes, fin is journaled, and judge (the SLO check
 // or the panic dump) writes any incident it triggers — so a client that sees
-// the job finished never finds its resume log and always finds its incident.
+// the job finished never finds its resume log and always finds its incident
+// and its whole trace.
 // A panic after publication (say in a stream hook) keeps the first outcome.
 func (s *Service) finish(j *Job, fin *journalRecord, art *Artifact, judge func(*journalRecord)) {
 	s.dropResume(j)
@@ -652,6 +655,9 @@ func (s *Service) finish(j *Job, fin *journalRecord, art *Artifact, judge func(*
 	fin.Degraded = j.degraded // only this worker goroutine writes it
 	s.journal(*fin, true)
 	judge(fin)
+	// The terminal instant lands before the state is published, so a client
+	// that sees the job finished fetches a trace that already shows it.
+	j.trace.Instant(fin.Op, "lifecycle", 0)
 
 	j.mu.Lock()
 	if j.state == StateRunning {
@@ -679,7 +685,6 @@ func (s *Service) finish(j *Job, fin *journalRecord, art *Artifact, judge func(*
 		s.log.Warn("job "+fin.Op, "job", j.ID, "error", fin.Error)
 	}
 	j.stream.closeStream()
-	j.trace.Instant(fin.Op, "lifecycle", 0)
 	s.heat.drop(j.ID)
 }
 
@@ -698,6 +703,8 @@ func trimStack(stack []byte) string {
 // the job's telemetry stream into the engine hooks — and, on durable
 // daemons, the resume log that lets a restarted daemon resume this job.
 func (s *Service) execute(ctx context.Context, j *Job) (*Artifact, error) {
+	w := s.startResumeWriter(j)
+	defer w.stop()
 	if faultinject.Hit(faultinject.WorkerPanic) {
 		panic("faultinject: worker.panic")
 	}
@@ -724,9 +731,9 @@ func (s *Service) execute(ctx context.Context, j *Job) (*Artifact, error) {
 
 	case KindScenario:
 		if s.clu != nil {
-			return s.executeClusteredScenario(ctx, j)
+			return s.executeClusteredScenario(ctx, j, w)
 		}
-		// Each finished machine is recorded before it is announced; a
+		// Each finished machine is announced once it is durable; a
 		// recovered job's come back via Completed, and the rerun skips them.
 		opts := scenario.RunOptions{
 			Context:        ctx,
@@ -739,8 +746,8 @@ func (s *Service) execute(ctx context.Context, j *Job) (*Artifact, error) {
 			},
 			OnMachine: func(m scenario.MachineResult) {
 				s.met.fleetViolation.Observe(m.ViolationS)
-				s.record(j, JobCheckpoint{Kind: KindScenario, Machines: []scenario.MachineResult{m}})
-				j.stream.append(Event{Type: "machine", Job: j.ID, Machine: machineEvent(m)})
+				w.record(JobCheckpoint{Kind: KindScenario, Machines: []scenario.MachineResult{m}},
+					&Event{Type: "machine", Job: j.ID, Machine: machineEvent(m)})
 			},
 			// Per-machine thermal state for the fleet snapshot, via the pure
 			// machine.Checkpoint() observer (bounded; see captureState).
@@ -768,7 +775,7 @@ func (s *Service) execute(ctx context.Context, j *Job) (*Artifact, error) {
 		if j.resume != nil {
 			fsOpts.CheckpointEvery = s.cfg.CheckpointEvery
 			fsOpts.OnCheckpoint = func(cp fleetsched.Checkpoint) {
-				s.record(j, JobCheckpoint{Kind: KindSched, Sched: &cp})
+				w.record(JobCheckpoint{Kind: KindSched, Sched: &cp}, nil)
 			}
 		}
 		if cp := j.resumeToken(); cp != nil {

@@ -702,6 +702,21 @@ func TestStreamRingBoundsMemory(t *testing.T) {
 	if next != 100 {
 		t.Fatalf("next = %d, want 100", next)
 	}
+	// The ring holds Seq 84..99 and wraps between 95 and 96: a replay from
+	// before the window, before, at and after the wrap point, or from the
+	// end reads the retained tail in Seq order.
+	for _, k := range []int{0, 84, 90, 95, 96, 98, 99, 100} {
+		events, _, _, _ := st.since(k)
+		from := max(k, 84)
+		if len(events) != next-from {
+			t.Fatalf("since(%d) returned %d events, want %d", k, len(events), next-from)
+		}
+		for i, e := range events {
+			if e.Seq != from+i {
+				t.Fatalf("since(%d)[%d].Seq = %d, want %d", k, i, e.Seq, from+i)
+			}
+		}
+	}
 	st.closeStream()
 	st.append(Event{Type: "telemetry"}) // late hook fire: must not resurrect
 	if st.Len() != 100 {

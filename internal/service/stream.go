@@ -73,9 +73,11 @@ func sampleEvent(sm scenario.MachineSample) *MachineEvent {
 // the latest max events and subscribers that fall behind observe a gap
 // event instead of unbounded buffering.
 type stream struct {
-	mu      sync.Mutex
-	max     int
-	events  []Event // events[i] has Seq == start+i
+	mu  sync.Mutex
+	max int
+	// ring is a circular buffer: the event with Seq s sits at ring[s%max]
+	// for start <= s < next. It grows to max and then overwrites in place.
+	ring    []Event
 	start   int
 	next    int
 	dropped int
@@ -97,26 +99,28 @@ func newStream(max int) *stream {
 	}
 }
 
-// append assigns the event its sequence number and wakes all waiters.
-// Appending to a closed stream is a no-op (a late hook firing after
-// cancellation must not resurrect the stream).
-func (st *stream) append(e Event) {
+// append assigns the events consecutive sequence numbers and wakes all
+// waiters once. Appending to a closed stream is a no-op (a late hook firing
+// after cancellation must not resurrect the stream).
+func (st *stream) append(es ...Event) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.closed {
+	if st.closed || len(es) == 0 {
 		return
 	}
-	e.Seq = st.next
-	st.next++
-	if st.onAppend != nil {
-		st.onAppend(e)
-	}
-	st.events = append(st.events, e)
-	if len(st.events) > st.max {
-		over := len(st.events) - st.max
-		st.events = append(st.events[:0], st.events[over:]...)
-		st.start += over
-		st.dropped += over
+	for _, e := range es {
+		e.Seq = st.next
+		st.next++
+		if st.onAppend != nil {
+			st.onAppend(e)
+		}
+		if len(st.ring) < st.max {
+			st.ring = append(st.ring, e)
+		} else {
+			st.ring[e.Seq%st.max] = e
+			st.start++
+			st.dropped++
+		}
 	}
 	close(st.notify)
 	st.notify = make(chan struct{})
@@ -152,8 +156,12 @@ func (st *stream) since(seq int) (events []Event, next int, closed bool, evicted
 		evicted = st.start - seq
 		seq = st.start
 	}
-	if seq < st.next {
-		events = append(events, st.events[seq-st.start:]...)
+	if n := st.next - seq; n > 0 {
+		// One segment up to the ring's end, then the wrapped remainder.
+		i := seq % st.max
+		events = make([]Event, 0, n)
+		events = append(events, st.ring[i:min(i+n, len(st.ring))]...)
+		events = append(events, st.ring[:n-len(events)]...)
 	}
 	return events, st.next, st.closed, evicted
 }

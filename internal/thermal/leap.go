@@ -143,18 +143,77 @@ func fusePair(dst, a, b []float64, nn int) []float64 {
 	return dst
 }
 
-// applyFused computes dst = [A|B]·xy for a fused block (xy packs the two
-// operand vectors back to back).
-func applyFused(dst, m, xy []float64) {
-	nn := len(dst)
-	w := 2 * nn
-	for i := 0; i < nn; i++ {
-		row := m[i*w : i*w+w]
-		var acc float64
-		for j, v := range row {
-			acc += v * xy[j]
+// applyRows computes dst[i] = m[i*stride:]·x for each row: with stride 2nn
+// that is a fused block [A|B] applied to the packed xy, or, from m[nn:], its
+// right half B applied to x. Rows go four at a time; a trailing partial
+// block overlaps the previous one, its rows recomputed bit for bit.
+func applyRows(dst, m []float64, stride int, x []float64) {
+	if len(dst) < 4 {
+		for i := range dst {
+			dst[i] = dot(m[i*stride:], x)
 		}
-		dst[i] = acc
+		return
+	}
+	for i := 0; i < len(dst); i += 4 {
+		i = min(i, len(dst)-4)
+		dst[i], dst[i+1], dst[i+2], dst[i+3] = dot4(m[i*stride:], m[(i+1)*stride:], m[(i+2)*stride:], m[(i+3)*stride:], x)
+	}
+}
+
+// dot returns r·x over len(x) terms, summed in ascending index from +0.
+func dot(r, x []float64) float64 {
+	r = r[:len(x)]
+	var a float64
+	for j, v := range x {
+		a += r[j] * v
+	}
+	return a
+}
+
+// dot4 is dot for four rows at once. Each row keeps its own accumulator and
+// summation order, so every result is bit-identical to dot; the four
+// independent add chains hide the latency a single chain stalls on.
+func dot4(r0, r1, r2, r3, x []float64) (a0, a1, a2, a3 float64) {
+	r0, r1, r2, r3 = r0[:len(x)], r1[:len(x)], r2[:len(x)], r3[:len(x)]
+	for j, v := range x {
+		a0 += r0[j] * v
+		a1 += r1[j] * v
+		a2 += r2[j] * v
+		a3 += r3[j] * v
+	}
+	return
+}
+
+// sumRows adds one chunk's discrete temperature sums for the listed rows:
+// [Q|W]·[T; p], plus half of W·Δp when the midpoint correction applies.
+// Rows go four at a time; sums accumulate, so a partial block is not
+// overlapped but finished one row at a time.
+func sumRows(tempSum []float64, rows []NodeID, qw, xy, diff []float64, correct bool) {
+	nn := len(diff)
+	w := 2 * nn
+	b := 0
+	for ; b+4 <= len(rows); b += 4 {
+		i0, i1, i2, i3 := int(rows[b])*w, int(rows[b+1])*w, int(rows[b+2])*w, int(rows[b+3])*w
+		a0, a1, a2, a3 := dot4(qw[i0:], qw[i1:], qw[i2:], qw[i3:], xy)
+		if correct {
+			c0, c1, c2, c3 := dot4(qw[i0+nn:], qw[i1+nn:], qw[i2+nn:], qw[i3+nn:], diff)
+			a0 += 0.5 * c0
+			a1 += 0.5 * c1
+			a2 += 0.5 * c2
+			a3 += 0.5 * c3
+		}
+		tempSum[rows[b]] += a0
+		tempSum[rows[b+1]] += a1
+		tempSum[rows[b+2]] += a2
+		tempSum[rows[b+3]] += a3
+	}
+	for _, r := range rows[b:] {
+		i := int(r) * w
+		acc := dot(qw[i:], xy)
+		if correct {
+			acc += 0.5 * dot(qw[i+nn:], diff)
+		}
+		tempSum[r] += acc
 	}
 }
 
@@ -580,7 +639,7 @@ func (n *Network) LeapSteps(k int, dt units.Time, src HeatSource, tempSum []floa
 		copy(xy, n.temp)
 		for {
 			l := n.propFor(lad, c, dts)
-			applyFused(tNew, l.pu, xy)
+			applyRows(tNew, l.pu, 2*nn, xy[:2*nn])
 			// Frozen-power drift Δp across the chunk, first order:
 			// analytically when the source linearises itself, by a
 			// second model evaluation otherwise.
@@ -602,7 +661,6 @@ func (n *Network) LeapSteps(k int, dt units.Time, src HeatSource, tempSum []floa
 			// folded into tNew as the midpoint correction on accept.
 			// The norm pre-check skips the walk (and the correction)
 			// when the drift response is provably negligible.
-			w2 := 2 * nn
 			var maxDiff float64
 			for _, v := range diff {
 				if v < 0 {
@@ -614,19 +672,15 @@ func (n *Network) LeapSteps(k int, dt units.Time, src HeatSource, tempSum []floa
 			}
 			bound := l.uNorm * maxDiff
 			if bound > leapSkipCorr {
+				// resp = U·Δp into dT (scratch), then its ∞-norm.
+				applyRows(dT[:nn], l.pu[nn:], 2*nn, diff[:nn])
 				bound = 0
-				for i := 0; i < nn; i++ {
-					row := l.pu[i*w2+nn : i*w2+w2]
-					var acc float64
-					for j, v := range row {
-						acc += v * diff[j]
+				for _, v := range dT[:nn] {
+					if v < 0 {
+						v = -v
 					}
-					dT[i] = acc // resp, reusing dT as scratch
-					if acc < 0 {
-						acc = -acc
-					}
-					if acc > bound {
-						bound = acc
+					if v > bound {
+						bound = v
 					}
 				}
 			}
@@ -651,23 +705,7 @@ func (n *Network) LeapSteps(k int, dt units.Time, src HeatSource, tempSum []floa
 			}
 			// Discrete per-step temperature sums, only for the rows
 			// anyone integrates.
-			for _, r := range rows {
-				i := int(r)
-				row := l.qw[i*w2 : i*w2+w2]
-				var acc float64
-				for j, v := range row {
-					acc += v * xy[j]
-				}
-				if correct {
-					wr := row[nn:]
-					var cw float64
-					for j, v := range wr {
-						cw += v * diff[j]
-					}
-					acc += 0.5 * cw
-				}
-				tempSum[i] += acc
-			}
+			sumRows(tempSum, rows, l.qw, xy[:2*nn], diff[:nn], correct)
 			copy(n.temp, tNew)
 			k -= c
 			n.leapChunks++

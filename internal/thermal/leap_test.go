@@ -2,6 +2,7 @@ package thermal
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/units"
@@ -203,5 +204,75 @@ func TestLeapStepsZeroAlloc(t *testing.T) {
 		n.StepFrom(dt, src)
 	}); allocs > 0 {
 		t.Errorf("StepFrom allocates %.1f/op, want 0", allocs)
+	}
+}
+
+// TestBlockedRowsBitIdentical pins the four-row kernels (applyRows on a
+// whole fused block and on its right half, sumRows) to the one-row loop — each row summed in ascending
+// index from +0 — bit for bit, on random fused blocks of every size from 1
+// to 9 nodes, which covers each trailing-block path.
+func TestBlockedRowsBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	val := func() float64 { return (rng.Float64() - 0.5) * math.Exp2(float64(rng.Intn(40)-20)) }
+	rowDot := func(row, x []float64) float64 {
+		var acc float64
+		for j, v := range row {
+			acc += v * x[j]
+		}
+		return acc
+	}
+	same := func(what string, nn, i int, got, want float64) {
+		t.Helper()
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("nn=%d %s row %d: blocked %x, one-row %x", nn, what, i, math.Float64bits(got), math.Float64bits(want))
+		}
+	}
+	for nn := 1; nn <= 9; nn++ {
+		for trial := 0; trial < 20; trial++ {
+			w := 2 * nn
+			m := make([]float64, nn*w)
+			xy := make([]float64, w)
+			diff := make([]float64, nn)
+			for _, s := range [][]float64{m, xy, diff} {
+				for i := range s {
+					s[i] = val()
+				}
+			}
+
+			got := make([]float64, nn)
+			applyRows(got, m, w, xy)
+			for i := 0; i < nn; i++ {
+				same("[A|B]·xy", nn, i, got[i], rowDot(m[i*w:i*w+w], xy))
+			}
+			applyRows(got, m[nn:], w, diff)
+			for i := 0; i < nn; i++ {
+				same("B·diff", nn, i, got[i], rowDot(m[i*w+nn:i*w+w], diff))
+			}
+
+			// A random subset of rows in random order, as sensed rows are.
+			var rows []NodeID
+			for _, i := range rng.Perm(nn)[:1+rng.Intn(nn)] {
+				rows = append(rows, NodeID(i))
+			}
+			for _, correct := range []bool{false, true} {
+				sums, want := make([]float64, nn), make([]float64, nn)
+				for i := range sums {
+					sums[i] = val()
+					want[i] = sums[i]
+				}
+				sumRows(sums, rows, m, xy, diff, correct)
+				for _, r := range rows {
+					row := m[int(r)*w : int(r)*w+w]
+					acc := rowDot(row, xy)
+					if correct {
+						acc += 0.5 * rowDot(row[nn:], diff)
+					}
+					want[r] += acc
+				}
+				for i := range sums {
+					same("sumRows", nn, i, sums[i], want[i])
+				}
+			}
+		}
 	}
 }
