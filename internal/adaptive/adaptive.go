@@ -17,6 +17,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/sensor"
+	"repro/internal/simclock"
 	"repro/internal/trace"
 	"repro/internal/units"
 )
@@ -97,6 +98,7 @@ type Controller struct {
 	PTrace    *trace.Series
 	TempTrace *trace.Series
 	stopped   bool
+	tickEv    simclock.Event // the one pending tick, re-armed each period
 }
 
 // Attach installs a fresh Dimetrodon policy engine on m and starts the
@@ -117,7 +119,8 @@ func Attach(m *machine.Machine, cfg Config) (*Controller, error) {
 		c.sensors = append(c.sensors, sensor.NewCoretemp())
 	}
 	m.Sched.SetInjector(c.policy)
-	m.Clock.ScheduleAfter(cfg.Interval, "adaptive-tick", c.tick)
+	c.tickEv = simclock.Event{Fire: c.tick, Label: "adaptive-tick"}
+	m.Clock.Reschedule(&c.tickEv, m.Now()+cfg.Interval)
 	return c, nil
 }
 
@@ -175,7 +178,7 @@ func (c *Controller) tick(now units.Time) {
 	}
 	c.PTrace.Append(now, p)
 	c.TempTrace.Append(now, c.ema)
-	c.m.Clock.ScheduleAfter(c.cfg.Interval, "adaptive-tick", c.tick)
+	c.m.Clock.Reschedule(&c.tickEv, now+c.cfg.Interval)
 }
 
 // readHottest samples every core's DTS and returns the maximum reading — the

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/machine"
 	"repro/internal/sensor"
+	"repro/internal/simclock"
 	"repro/internal/units"
 )
 
@@ -60,6 +61,7 @@ type TM1 struct {
 	m       *machine.Machine
 	sensors []*sensor.DTS
 	engaged bool
+	pollEv  simclock.Event // the one pending poll, re-armed each period
 
 	// Engagements counts trip events; ThrottledTime accumulates time
 	// spent throttled.
@@ -77,7 +79,8 @@ func AttachTM1(m *machine.Machine, cfg TM1Config) (*TM1, error) {
 	for i := 0; i < m.Chip.NumCores(); i++ {
 		t.sensors = append(t.sensors, sensor.NewCoretemp())
 	}
-	m.Clock.ScheduleAfter(cfg.PollEvery, "tm1-poll", t.poll)
+	t.pollEv = simclock.Event{Fire: t.poll, Label: "tm1-poll"}
+	m.Clock.Reschedule(&t.pollEv, m.Now()+cfg.PollEvery)
 	return t, nil
 }
 
@@ -103,7 +106,7 @@ func (t *TM1) poll(now units.Time) {
 		t.ThrottledTime += now - t.engagedAt
 		t.m.Chip.SetDuty(1)
 	}
-	t.m.Clock.ScheduleAfter(t.cfg.PollEvery, "tm1-poll", t.poll)
+	t.m.Clock.Reschedule(&t.pollEv, now+t.cfg.PollEvery)
 }
 
 // Throttled returns the total time spent engaged, including an in-progress

@@ -227,3 +227,34 @@ func TestSteadySteppingZeroAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestBusySteppingZeroAllocs extends the contract to the paper's workload:
+// four cpuburn threads under p=0.5, L=25 ms fire an injection, quantum or
+// work-completion event every few milliseconds, and the scheduler re-arms
+// its owned timer events instead of allocating one per dispatch.
+func TestBusySteppingZeroAllocs(t *testing.T) {
+	for _, mode := range []string{IntegratorExact, IntegratorLeap} {
+		cfg := DefaultConfig()
+		cfg.Meter.Disabled = true
+		cfg.Integrator = mode
+		m := New(cfg)
+		ctl := core.NewController(m.RNG.Split())
+		if err := ctl.SetGlobal(core.Params{P: 0.5, L: 25 * units.Millisecond}); err != nil {
+			t.Fatal(err)
+		}
+		m.Sched.SetInjector(ctl)
+		for i := 0; i < 4; i++ {
+			m.Sched.Spawn(workload.Burn(), sched.SpawnConfig{PowerFactor: 1})
+		}
+		m.RunFor(5 * units.Second) // warm caches, ladders and scratch
+		before := m.Sched.TotalInjections
+		if n := testing.AllocsPerRun(20, func() {
+			m.RunFor(100 * units.Millisecond)
+		}); n > 0 {
+			t.Errorf("%s: busy stepping allocates %.1f/op, want 0", mode, n)
+		}
+		if m.Sched.TotalInjections == before {
+			t.Errorf("%s: no injections in the measured window", mode)
+		}
+	}
+}

@@ -14,13 +14,13 @@ import (
 // throttled machine shows up in a real fleet.
 func syntheticResult(i int) MachineResult {
 	r := MachineResult{
-		Index:        i,
-		Seed:         uint64(i) * 0x9e3779b97f4a7c15,
-		FanFactor:    1,
-		MeanJunction: 50 + float64(i%911)*0.01,
-		PeakJunction: 60 + float64(i%373)*0.02,
-		WorkRate:     0.97 + 1e-7*float64(i%101),
-		MeanPower:    85.5 + 1e-6*float64(i%53),
+		Index:         i,
+		Seed:          uint64(i) * 0x9e3779b97f4a7c15,
+		FanFactor:     1,
+		MeanJunction:  50 + float64(i%911)*0.01,
+		PeakJunction:  60 + float64(i%373)*0.02,
+		WorkRate:      0.97 + 1e-7*float64(i%101),
+		MeanPower:     85.5 + 1e-6*float64(i%53),
 		InjectedIdleS: 0.125 + 1e-8*float64(i%29),
 		BusyS:         29.875,
 		ViolationS:    0,

@@ -91,11 +91,12 @@ type coreRun struct {
 	injected   bool
 	lastThread *Thread
 	quantumEnd units.Time
-	timer      *simclock.Event
-	kind       timerKind
-	// fire is the core's pre-bound timer callback — timer arming is the
-	// scheduler's hottest allocation site without it.
-	fire func(now units.Time)
+	// ev is the core's one timer event, owned and re-armed in place: a
+	// core has at most one pending timer, and arming it is the scheduler's
+	// hottest path. timer is &ev while it is armed, nil otherwise.
+	ev    simclock.Event
+	timer *simclock.Event
+	kind  timerKind
 
 	// Occupancy accounting for invariant checks and Figure 1.
 	BusyTime       units.Time
@@ -139,7 +140,7 @@ func New(clock *simclock.Clock, cfg Config, listener Listener, rate RateProvider
 	for i := range s.cores {
 		s.cores[i] = coreRun{id: i}
 		c := &s.cores[i]
-		c.fire = func(units.Time) { s.onTimer(c) }
+		c.ev.Fire = func(units.Time) { s.onTimer(c) }
 	}
 	nq := 1
 	if cfg.PerCPUQueues {
@@ -313,8 +314,8 @@ func (s *Scheduler) Spawn(prog Program, cfg SpawnConfig) *Thread {
 	}
 	t.workLabel = "work-done:" + t.Name
 	t.quantLabel = "quantum:" + t.Name
-	t.wakeLabel = "wake:" + t.Name
-	t.wakeFn = func(units.Time) {
+	t.wake.Label = "wake:" + t.Name
+	t.wake.Fire = func(units.Time) {
 		t.wakeEvent = nil
 		s.applyAction(t, t.prog.Next(s.clock.Now()))
 	}
@@ -327,7 +328,6 @@ func (s *Scheduler) Spawn(prog Program, cfg SpawnConfig) *Thread {
 // applyAction transitions t according to the action its program produced.
 // The thread must not currently occupy a core.
 func (s *Scheduler) applyAction(t *Thread, a Action) {
-	now := s.clock.Now()
 	switch a.Kind {
 	case ActCompute:
 		if a.Work <= 0 {
@@ -344,7 +344,8 @@ func (s *Scheduler) applyAction(t *Thread, a Action) {
 		if d < 0 {
 			d = 0
 		}
-		t.wakeEvent = s.clock.ScheduleAfter(d, t.wakeLabel, t.wakeFn)
+		s.clock.Reschedule(&t.wake, s.clock.Now()+d)
+		t.wakeEvent = &t.wake
 	case ActBlock:
 		t.state = StateSleeping
 	case ActExit:
@@ -352,7 +353,6 @@ func (s *Scheduler) applyAction(t *Thread, a Action) {
 	default:
 		panic(fmt.Sprintf("sched: unknown action kind %d", a.Kind))
 	}
-	_ = now
 }
 
 func (s *Scheduler) exitThread(t *Thread) {
@@ -539,9 +539,7 @@ func (s *Scheduler) inject(c *coreRun, t *Thread, idle units.Time) {
 	if s.listener != nil {
 		s.listener.CoreIdle(c.id, true)
 	}
-	dur := idle + s.cfg.InjectOverhead
-	c.kind = timerInjectEnd
-	c.timer = s.clock.ScheduleAfter(dur, "inject-end", c.fire)
+	s.arm(c, timerInjectEnd, now+idle+s.cfg.InjectOverhead, "inject-end")
 }
 
 // run places t on the core for up to one timeslice.
@@ -579,12 +577,18 @@ func (s *Scheduler) armRunTimer(c *coreRun, t *Thread) {
 		done = now + t.switchPad + units.FromSeconds(t.remaining/rate)
 	}
 	if done <= c.quantumEnd {
-		c.kind = timerWorkDone
-		c.timer = s.clock.Schedule(done, t.workLabel, c.fire)
+		s.arm(c, timerWorkDone, done, t.workLabel)
 	} else {
-		c.kind = timerQuantum
-		c.timer = s.clock.Schedule(c.quantumEnd, t.quantLabel, c.fire)
+		s.arm(c, timerQuantum, c.quantumEnd, t.quantLabel)
 	}
+}
+
+// arm re-arms the core's owned timer event to fire at `at`.
+func (s *Scheduler) arm(c *coreRun, kind timerKind, at units.Time, label string) {
+	c.kind = kind
+	c.ev.Label = label
+	s.clock.Reschedule(&c.ev, at)
+	c.timer = &c.ev
 }
 
 func (s *Scheduler) cancelTimer(c *coreRun) {

@@ -134,16 +134,18 @@ type Thread struct {
 	affinity  int // ULE-style home queue; -1 until first placement
 	enqSeq    uint64
 	wakeEvent *simclock.Event
-	// Pre-built event labels and wake callback: timer arming sits on the
-	// dispatch hot path, so the per-arm string concatenation and closure
-	// capture are paid once per thread instead of once per event.
+	// Pre-built core timer labels: timer arming sits on the dispatch hot
+	// path, so the string concatenation is paid once per thread instead of
+	// once per event.
 	workLabel  string
 	quantLabel string
-	wakeLabel  string
-	wakeFn     func(now units.Time)
 	runStart   units.Time // when the current occupancy began
 	runRate    float64    // progress rate captured at dispatch
 	switchPad  units.Time // leading context-switch cost of this occupancy
+	// wake is the thread's one timed-sleep event, bound at Spawn and
+	// re-armed by each sleep; wakeEvent is &wake while it is armed, nil
+	// otherwise.
+	wake simclock.Event
 }
 
 // Default priorities; lower runs first.

@@ -3,12 +3,11 @@
 //
 // Simulated components never consult wall time: the clock only advances when
 // the event loop pops the next scheduled event. Events at equal timestamps
-// fire in the order they were scheduled (a stable tie-break on a sequence
-// number), which keeps runs deterministic.
+// fire in the order they were scheduled or last re-armed (a stable tie-break
+// on a sequence number), which keeps runs deterministic.
 package simclock
 
 import (
-	"container/heap"
 	"fmt"
 
 	"repro/internal/units"
@@ -16,16 +15,20 @@ import (
 
 // Event is a callback scheduled to fire at a point in virtual time. The
 // callback receives the firing time.
+//
+// Schedule allocates a one-shot Event. A component with at most one pending
+// event at a time can instead own an Event, set its Fire and Label once, and
+// re-arm it with Reschedule: the zero value is "not queued".
 type Event struct {
 	At     units.Time
 	Fire   func(now units.Time)
 	Label  string // for debugging and trace output
 	seq    uint64
-	index  int // heap index; -1 once popped or cancelled
+	pos    int // heap index + 1; 0 when not queued
 	cancel bool
 }
 
-// Cancelled reports whether the event was cancelled before firing.
+// Cancelled reports whether the event was cancelled since it was last armed.
 func (e *Event) Cancelled() bool { return e.cancel }
 
 // Clock is a virtual clock with a pending-event queue. The zero value is
@@ -45,19 +48,15 @@ func (c *Clock) Now() units.Time { return c.now }
 // are not counted). Useful for loop bounds in tests.
 func (c *Clock) Fired() uint64 { return c.fired }
 
-// Pending returns the number of events still queued (including cancelled
-// events not yet reaped).
+// Pending returns the number of events queued to fire. Cancelled events
+// leave the queue at once and are not counted.
 func (c *Clock) Pending() int { return len(c.queue) }
 
 // Schedule enqueues fn to fire at absolute time at. Scheduling in the past
 // (before Now) panics: it would silently reorder causality.
 func (c *Clock) Schedule(at units.Time, label string, fn func(now units.Time)) *Event {
-	if at < c.now {
-		panic(fmt.Sprintf("simclock: schedule %q at %v before now %v", label, at, c.now))
-	}
-	e := &Event{At: at, Fire: fn, Label: label, seq: c.nexts}
-	c.nexts++
-	heap.Push(&c.queue, e)
+	e := &Event{Fire: fn, Label: label}
+	c.Reschedule(e, at)
 	return e
 }
 
@@ -69,52 +68,60 @@ func (c *Clock) ScheduleAfter(dt units.Time, label string, fn func(now units.Tim
 	return c.Schedule(c.now+dt, label, fn)
 }
 
-// Cancel marks the event so it will be discarded instead of fired. Cancelling
-// an already-fired or already-cancelled event is a no-op.
-func (c *Clock) Cancel(e *Event) {
-	if e == nil || e.cancel || e.index < 0 {
-		e.markCancelled()
+// Reschedule arms the caller-owned event e to fire at absolute time at. A
+// pending event moves to the new time; a fired or cancelled one is queued
+// again. Either way e takes a fresh tie-break sequence number, exactly as a
+// new Schedule call would, so re-arming an owned event and scheduling a new
+// one fire in the same order. Rescheduling into the past panics.
+func (c *Clock) Reschedule(e *Event, at units.Time) {
+	if at < c.now {
+		panic(fmt.Sprintf("simclock: schedule %q at %v before now %v", e.Label, at, c.now))
+	}
+	e.At = at
+	e.seq = c.nexts
+	c.nexts++
+	e.cancel = false
+	if e.pos > 0 {
+		c.queue.fix(e.pos - 1)
 		return
+	}
+	c.queue.push(e)
+}
+
+// Cancel removes a pending event from the queue so it never fires, and marks
+// it cancelled. Cancelling an already-fired or already-cancelled event only
+// marks it.
+func (c *Clock) Cancel(e *Event) {
+	if e == nil {
+		return
+	}
+	if e.pos > 0 {
+		c.queue.remove(e.pos - 1)
 	}
 	e.cancel = true
 }
 
-func (e *Event) markCancelled() {
-	if e != nil {
-		e.cancel = true
-	}
-}
-
-// PeekTime returns the firing time of the earliest pending (non-cancelled)
-// event, and false if the queue is empty. Cancelled events at the head are
-// reaped as a side effect.
+// PeekTime returns the firing time of the earliest pending event, and false
+// if the queue is empty.
 func (c *Clock) PeekTime() (units.Time, bool) {
-	for len(c.queue) > 0 {
-		head := c.queue[0]
-		if head.cancel {
-			heap.Pop(&c.queue)
-			continue
-		}
-		return head.At, true
+	if len(c.queue) == 0 {
+		return 0, false
 	}
-	return 0, false
+	return c.queue[0].At, true
 }
 
 // Step pops and fires the next event, advancing the clock to its timestamp.
 // It reports false when the queue is empty. A callback may schedule further
-// events, including at the current instant.
+// events, including at the current instant, and may re-arm its own event.
 func (c *Clock) Step() bool {
-	for len(c.queue) > 0 {
-		e := heap.Pop(&c.queue).(*Event)
-		if e.cancel {
-			continue
-		}
-		c.now = e.At
-		c.fired++
-		e.Fire(c.now)
-		return true
+	if len(c.queue) == 0 {
+		return false
 	}
-	return false
+	e := c.queue.remove(0)
+	c.now = e.At
+	c.fired++
+	e.Fire(c.now)
+	return true
 }
 
 // AdvanceTo runs events up to and including time t, then sets the clock to t.
@@ -146,32 +153,83 @@ func (c *Clock) AdvanceTo(t units.Time, hook func(from, to units.Time)) {
 	c.now = t
 }
 
-// eventHeap implements container/heap ordered by (time, sequence).
+// eventHeap is a binary min-heap ordered by (time, sequence). Each queued
+// event records its slot as pos = index + 1.
 type eventHeap []*Event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
+func (h eventHeap) less(i, j int) bool {
 	if h[i].At != h[j].At {
 		return h[i].At < h[j].At
 	}
 	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int) {
+
+func (h eventHeap) swap(i, j int) {
 	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
+	h[i].pos = i + 1
+	h[j].pos = j + 1
 }
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*h)
+
+func (h *eventHeap) push(e *Event) {
 	*h = append(*h, e)
+	e.pos = len(*h)
+	h.up(len(*h) - 1)
 }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*h = old[:n-1]
+
+// remove takes the event at index i out of the heap and returns it.
+func (h *eventHeap) remove(i int) *Event {
+	q := *h
+	n := len(q) - 1
+	e := q[i]
+	if i != n {
+		q.swap(i, n)
+	}
+	q[n] = nil
+	*h = q[:n]
+	if i != n {
+		h.fix(i)
+	}
+	e.pos = 0
 	return e
+}
+
+// fix restores the heap order after the event at index i changed its key.
+func (h eventHeap) fix(i int) {
+	if !h.down(i) {
+		h.up(i)
+	}
+}
+
+func (h eventHeap) up(i int) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if !h.less(i, p) {
+			break
+		}
+		h.swap(i, p)
+		i = p
+	}
+}
+
+// down sifts the event at index i toward the leaves and reports whether it
+// moved.
+func (h eventHeap) down(i int) bool {
+	i0 := i
+	n := len(h)
+	for {
+		l := 2*i + 1
+		if l >= n {
+			break
+		}
+		j := l
+		if r := l + 1; r < n && h.less(r, l) {
+			j = r
+		}
+		if !h.less(j, i) {
+			break
+		}
+		h.swap(i, j)
+		i = j
+	}
+	return i > i0
 }

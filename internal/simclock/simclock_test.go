@@ -3,6 +3,7 @@ package simclock
 import (
 	"testing"
 
+	"repro/internal/rng"
 	"repro/internal/units"
 )
 
@@ -172,5 +173,197 @@ func TestStepEmpty(t *testing.T) {
 	}
 	if c.Pending() != 0 {
 		t.Error("Pending != 0 on empty clock")
+	}
+}
+
+func TestCancelRemovesFromQueue(t *testing.T) {
+	var c Clock
+	a := c.Schedule(units.Second, "a", func(units.Time) {})
+	c.Schedule(2*units.Second, "b", func(units.Time) {})
+	c.Cancel(a)
+	if c.Pending() != 1 {
+		t.Errorf("Pending() = %d after Cancel, want 1", c.Pending())
+	}
+	c.Reschedule(a, 3*units.Second)
+	if a.Cancelled() {
+		t.Error("re-armed event still reports cancelled")
+	}
+	if c.Pending() != 2 {
+		t.Errorf("Pending() = %d after re-arm, want 2", c.Pending())
+	}
+}
+
+func TestRescheduleOwnedEvent(t *testing.T) {
+	var c Clock
+	var log []string
+	var own Event
+	own.Label = "own"
+	own.Fire = func(now units.Time) {
+		log = append(log, "own")
+		if now < 3*units.Second {
+			c.Reschedule(&own, now+units.Second) // re-arm from inside Fire
+		}
+	}
+	c.Reschedule(&own, 2*units.Second)
+	c.Schedule(units.Second, "a", func(units.Time) { log = append(log, "a") })
+	c.Reschedule(&own, units.Second) // moves the pending event; takes a later seq than "a"
+	if c.Pending() != 2 {
+		t.Fatalf("Pending() = %d, want 2: a pending event must move, not duplicate", c.Pending())
+	}
+	for c.Step() {
+	}
+	want := []string{"a", "own", "own", "own"}
+	if len(log) != len(want) {
+		t.Fatalf("log = %v, want %v", log, want)
+	}
+	for i := range want {
+		if log[i] != want[i] {
+			t.Fatalf("log = %v, want %v", log, want)
+		}
+	}
+	if c.Now() != 3*units.Second {
+		t.Errorf("clock at %v", c.Now())
+	}
+}
+
+func TestReschedulePastPanics(t *testing.T) {
+	var c Clock
+	c.AdvanceTo(units.Second, nil)
+	e := Event{Label: "late", Fire: func(units.Time) {}}
+	defer func() {
+		if recover() == nil {
+			t.Error("rescheduling into the past did not panic")
+		}
+	}()
+	c.Reschedule(&e, 500*units.Millisecond)
+}
+
+// refQueue is the naive reference for the clock's firing order: every live
+// event with the (At, seq) key the clock's contract assigns it, searched by
+// linear scan.
+type refQueue struct {
+	live  map[*Event][2]uint64 // At, seq
+	nexts uint64
+}
+
+func (r *refQueue) arm(e *Event, at units.Time) {
+	r.live[e] = [2]uint64{uint64(at), r.nexts}
+	r.nexts++
+}
+
+func (r *refQueue) next() (*Event, units.Time, bool) {
+	var best *Event
+	var key [2]uint64
+	for e, k := range r.live {
+		if best == nil || k[0] < key[0] || (k[0] == key[0] && k[1] < key[1]) {
+			best, key = e, k
+		}
+	}
+	return best, units.Time(key[0]), best != nil
+}
+
+// TestClockMatchesSortedReference drives random sequences of Schedule,
+// Reschedule (of pending, fired and cancelled events, and from inside an
+// event's own Fire), Cancel, Step and AdvanceTo, and checks every firing
+// against the naive reference: the earliest live event by (At, seq), where
+// every Schedule and Reschedule takes the next sequence number.
+func TestClockMatchesSortedReference(t *testing.T) {
+	for seed := uint64(1); seed <= 200; seed++ {
+		r := rng.New(seed)
+		var c Clock
+		ref := &refQueue{live: map[*Event][2]uint64{}}
+		var events []*Event // every event ever armed, owned or one-shot
+		fired := 0
+		delay := func() units.Time { return units.Time(r.Intn(4)) * units.Millisecond } // small: many ties
+		arm := func(e *Event, at units.Time) {
+			c.Reschedule(e, at)
+			ref.arm(e, at)
+		}
+		var fire func(e *Event) func(now units.Time)
+		fire = func(e *Event) func(now units.Time) {
+			return func(now units.Time) {
+				want, at, ok := ref.next()
+				if !ok || want != e || at != now {
+					t.Fatalf("seed %d: fired %q at %v, reference wants %v at %v", seed, e.Label, now, want, at)
+				}
+				delete(ref.live, e)
+				fired++
+				switch r.Intn(4) {
+				case 0:
+					arm(e, now+delay()) // re-arm from inside Fire
+				case 1:
+					n := &Event{Label: "child"}
+					n.Fire = fire(n)
+					events = append(events, n)
+					arm(n, now+delay())
+				}
+			}
+		}
+		owned := make([]Event, 6)
+		for i := range owned {
+			e := &owned[i]
+			e.Label = "owned"
+			e.Fire = fire(e)
+			events = append(events, e)
+		}
+		for op := 0; op < 300; op++ {
+			switch k := r.Intn(10); {
+			case k < 2:
+				var e *Event
+				e = c.Schedule(c.Now()+delay(), "one-shot", func(now units.Time) { fire(e)(now) })
+				ref.arm(e, e.At)
+				events = append(events, e)
+			case k < 5: // pending or not: move or re-queue
+				arm(events[r.Intn(len(events))], c.Now()+delay())
+			case k < 6:
+				e := events[r.Intn(len(events))]
+				c.Cancel(e)
+				delete(ref.live, e)
+				if !e.Cancelled() {
+					t.Fatalf("seed %d: Cancel did not mark the event", seed)
+				}
+				if r.Bernoulli(0.5) {
+					arm(e, c.Now()+delay())
+				}
+			case k < 8:
+				c.Step()
+			default:
+				to := c.Now() + delay()
+				c.AdvanceTo(to, nil)
+				if _, at, ok := ref.next(); ok && at <= to {
+					t.Fatalf("seed %d: event at %v left queued after AdvanceTo(%v)", seed, at, to)
+				}
+			}
+			if c.Pending() != len(ref.live) {
+				t.Fatalf("seed %d op %d: Pending() = %d, reference holds %d live events", seed, op, c.Pending(), len(ref.live))
+			}
+			_, want, ok := ref.next()
+			if got, gok := c.PeekTime(); gok != ok || got != want {
+				t.Fatalf("seed %d: PeekTime = %v,%v, reference %v,%v", seed, got, gok, want, ok)
+			}
+		}
+		for c.Step() {
+		}
+		if len(ref.live) != 0 || uint64(fired) != c.Fired() {
+			t.Fatalf("seed %d: drained with %d reference events live, fired %d vs Fired() %d", seed, len(ref.live), fired, c.Fired())
+		}
+	}
+}
+
+// BenchmarkClockRearm is the cost of one arm → fire cycle of an owned event
+// on a 64-event heap.
+func BenchmarkClockRearm(b *testing.B) {
+	var c Clock
+	bg := make([]Event, 63)
+	for i := range bg {
+		bg[i].Fire = func(units.Time) {}
+		c.Reschedule(&bg[i], units.Time(1<<60)+units.Time(i))
+	}
+	own := Event{Fire: func(units.Time) {}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Reschedule(&own, c.Now()+units.Microsecond)
+		c.Step()
 	}
 }

@@ -244,8 +244,8 @@ func TestTickWrapGuard(t *testing.T) {
 	n.decayFor(0.002)
 	n.ladderFor(0.002)
 	n.decayTick = math.MaxUint64 - 1
-	n.decayFor(0.002)                     // tick -> MaxUint64
-	d := n.decayFor(0.000311)             // wraps: epoch reset, tick restarts at 1
+	n.decayFor(0.002)         // tick -> MaxUint64
+	d := n.decayFor(0.000311) // wraps: epoch reset, tick restarts at 1
 	if n.decayTick == 0 || n.decayTick > 4 {
 		t.Errorf("decayTick after wrap = %d, want a small restarted epoch", n.decayTick)
 	}

@@ -23,6 +23,7 @@ import (
 	"repro/internal/machine"
 	"repro/internal/rng"
 	"repro/internal/sched"
+	"repro/internal/simclock"
 	"repro/internal/units"
 )
 
@@ -122,6 +123,10 @@ type Server struct {
 	readyQ  []request // requests awaiting a worker
 	kthread *sched.Thread
 	workers []*sched.Thread
+	// arrivals holds each connection's one pending arrival event, bound
+	// once and re-armed after every think time (the loop is closed, so a
+	// connection never has two requests in flight).
+	arrivals []simclock.Event
 
 	// per-worker current request, by worker index
 	current []request
@@ -168,12 +173,14 @@ func New(m *machine.Machine, cfg Config) *Server {
 			PowerFactor: cfg.ServicePowerFactor,
 		}))
 	}
-	for c := 0; c < cfg.Connections; c++ {
+	s.arrivals = make([]simclock.Event, cfg.Connections)
+	for c := range s.arrivals {
 		conn := c
+		e := &s.arrivals[c]
+		e.Label = "first-request"
+		e.Fire = func(now units.Time) { s.arrive(conn, now) }
 		offset := units.FromSeconds(s.rng.Float64() * cfg.ThinkTime.Seconds())
-		m.Clock.ScheduleAfter(offset, "first-request", func(now units.Time) {
-			s.arrive(conn, now)
-		})
+		m.Clock.Reschedule(e, m.Now()+offset)
 	}
 	return s
 }
@@ -254,10 +261,9 @@ func (s *Server) complete(r request, now units.Time) {
 		}
 	}
 	think := units.FromSeconds(s.cfg.ThinkTime.Seconds() * s.rng.ExpFloat64())
-	conn := r.conn
-	s.m.Clock.ScheduleAfter(think, "next-request", func(at units.Time) {
-		s.arrive(conn, at)
-	})
+	e := &s.arrivals[r.conn]
+	e.Label = "next-request"
+	s.m.Clock.Reschedule(e, s.m.Now()+think)
 }
 
 // Snapshot returns the QoS statistics accumulated since warmup; span should
