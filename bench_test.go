@@ -23,9 +23,12 @@ import (
 // milliseconds while preserving every qualitative shape.
 const BenchScale = experiments.Scale(0.15)
 
-// benchRun drives one experiment harness as a benchmark body and prints the
-// last iteration's rendered result.
-func benchRun(b *testing.B, id string) {
+// benchRun drives one experiment harness as a benchmark body under the
+// default engine and prints the last iteration's rendered result.
+func benchRun(b *testing.B, id string) { benchRunEngine(b, id, Engine{}) }
+
+// benchRunEngine is benchRun under an explicit engine.
+func benchRunEngine(b *testing.B, id string, ec Engine) {
 	b.Helper()
 	e, ok := Experiments[id]
 	if !ok {
@@ -37,7 +40,7 @@ func benchRun(b *testing.B, id string) {
 			out = os.Stdout
 			fmt.Printf("\n==== %s (%s) @ scale %v ====\n", e.ID, e.Title, float64(BenchScale))
 		}
-		if err := e.Run(out, BenchScale); err != nil {
+		if err := e.Run(out, BenchScale, ec); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -72,16 +75,12 @@ func BenchmarkFigure4TechniqueComparison(b *testing.B) { benchRun(b, "fig4") }
 // rises and trade-off fits for the SPEC CPU2006 proxies.
 func BenchmarkTable1SPECWorkloads(b *testing.B) { benchRun(b, "table1") }
 
-// BenchmarkTable1SPECWorkloadsLeap is Table 1 with the process-wide
-// -integrator=leap override: the experiment harnesses' steady windows are
-// long quiescent spans, so this tracks the leap speedup on the paper
-// workloads next to the exact-mode baseline above.
+// BenchmarkTable1SPECWorkloadsLeap is Table 1 under the leap integrator
+// (-integrator leap): the experiment harnesses' steady windows are long
+// quiescent spans, so this tracks the leap speedup on the paper workloads
+// next to the exact-mode baseline above.
 func BenchmarkTable1SPECWorkloadsLeap(b *testing.B) {
-	if err := SetIntegrator(IntegratorLeap); err != nil {
-		b.Fatal(err)
-	}
-	defer SetIntegrator("")
-	benchRun(b, "table1")
+	benchRunEngine(b, "table1", Engine{Integrator: IntegratorLeap})
 }
 
 // BenchmarkFigure5PerThreadControl regenerates Figure 5: global versus

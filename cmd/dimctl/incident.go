@@ -20,9 +20,9 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/engine"
 	"repro/internal/export"
 	"repro/internal/fleetsched"
-	"repro/internal/machine"
 	"repro/internal/scenario"
 	"repro/internal/service"
 )
@@ -127,7 +127,7 @@ func printSnapshot(w io.Writer, snap *service.Snapshot) {
 }
 
 // incidentCmd implements `dimctl incident list|show|export|replay`.
-func incidentCmd(args []string, stdout, stderr io.Writer) int {
+func incidentCmd(args []string, ec engine.Config, stdout, stderr io.Writer) int {
 	if len(args) == 0 {
 		fmt.Fprintln(stderr, "dimctl: incident requires a subcommand: list, show, export or replay")
 		return 2
@@ -192,7 +192,7 @@ func incidentCmd(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 		for _, dir := range names {
-			if code := replayBundle(dir, stdout, stderr); code != 0 {
+			if code := replayBundle(dir, ec, stdout, stderr); code != 0 {
 				return code
 			}
 		}
@@ -354,7 +354,8 @@ func fetchExpected(c *service.Client, dir, jobID string) error {
 // daemon recovery would: scenario machines already in the token are not
 // re-simulated, sched runs replay-verify through the round barrier. Exit is
 // non-zero on any divergence — the determinism contract makes "close" wrong.
-func replayBundle(dir string, stdout, stderr io.Writer) int {
+// The replay runs under ec with the bundle's integrator.
+func replayBundle(dir string, ec engine.Config, stdout, stderr io.Writer) int {
 	fail := func(err error) int {
 		fmt.Fprintf(stderr, "dimctl: incident replay %s: %v\n", dir, err)
 		return 1
@@ -374,11 +375,12 @@ func replayBundle(dir string, stdout, stderr io.Writer) int {
 	// under one integrator cannot be byte-verified under another. The bundle's
 	// choice wins; an explicit conflicting -integrator is refused, not
 	// silently overridden.
-	if cur := machine.IntegratorOverride(); cur != "" && meta.Integrator != "" && cur != meta.Integrator {
-		return fail(fmt.Errorf("bundle was recorded under integrator %q but -integrator forces %q; replay under the bundle's integrator", meta.Integrator, cur))
+	if ec.Integrator != "" && meta.Integrator != "" && ec.Integrator != meta.Integrator {
+		return fail(fmt.Errorf("bundle was recorded under integrator %q but -integrator forces %q; replay under the bundle's integrator", meta.Integrator, ec.Integrator))
 	}
 	if meta.Integrator != "" {
-		if err := machine.SetIntegratorOverride(meta.Integrator); err != nil {
+		ec.Integrator = meta.Integrator
+		if err := ec.Validate(); err != nil {
 			return fail(err)
 		}
 	}
@@ -403,13 +405,13 @@ func replayBundle(dir string, stdout, stderr io.Writer) int {
 	)
 	switch meta.Kind {
 	case service.KindScenario:
-		res, err := scenario.RunOpts(spec, meta.Scale, scenario.RunOptions{Completed: cp.Machines})
+		res, err := scenario.RunOpts(spec, meta.Scale, scenario.RunOptions{Completed: cp.Machines, Engine: ec})
 		if err != nil {
 			return fail(err)
 		}
 		rendered, files = res.String(), scenario.RenderResult(res)
 	case service.KindSched:
-		res, err := fleetsched.RunOpts(spec, meta.Policy, meta.Scale, fleetsched.Options{Resume: cp.Sched})
+		res, err := fleetsched.RunOpts(spec, meta.Policy, meta.Scale, fleetsched.Options{Resume: cp.Sched, Engine: ec})
 		if err != nil {
 			return fail(err)
 		}
@@ -418,7 +420,7 @@ func replayBundle(dir string, stdout, stderr io.Writer) int {
 		}
 		rendered = res.String()
 	case service.KindSchedCompare:
-		c, err := fleetsched.Compare(spec, meta.Scale)
+		c, err := fleetsched.CompareOpts(spec, meta.Scale, fleetsched.Options{Engine: ec}, nil)
 		if err != nil {
 			return fail(err)
 		}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -130,5 +131,20 @@ func TestIncidentListEmptyAndUnknownShow(t *testing.T) {
 	}
 	if code, _, _ := runCLI(t, "incident", "show", "inc-999999", "-addr", addr); code == 0 {
 		t.Fatal("show of an unknown incident exited zero")
+	}
+}
+
+// TestIncidentReplayRefusesConflictingIntegrator pins the replay's integrator
+// rule: the bundle's integrator wins, and an explicit -integrator naming a
+// different one is refused before anything runs.
+func TestIncidentReplayRefusesConflictingIntegrator(t *testing.T) {
+	dir := t.TempDir()
+	meta := fmt.Sprintf(`{"version": %d, "job": "job-000001", "kind": "scenario", "scale": 0.05, "state": "done", "integrator": "leap"}`, bundleVersion)
+	if err := os.WriteFile(filepath.Join(dir, "bundle.json"), []byte(meta), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	code, _, stderr := runCLI(t, "-integrator", "exact", "incident", "replay", dir)
+	if code == 0 || !strings.Contains(stderr, `recorded under integrator "leap" but -integrator forces "exact"`) {
+		t.Fatalf("exit %d, stderr %q: want a refusal naming both integrators", code, stderr)
 	}
 }

@@ -35,14 +35,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	scale := fs.Float64("scale", 1.0, "experiment scale: 1.0 = paper-duration runs")
 	jobs := fs.Int("jobs", 0, "parallel trial workers; 0 = GOMAXPROCS (output is identical at any setting)")
-	integrator := fs.String("integrator", "", "thermal integrator override: exact (byte-identical) or leap (quiescence-leaping fast path); default: experiments exact, scenario/sched leap")
+	integrator := fs.String("integrator", "", "thermal integrator: exact (byte-identical) or leap (quiescence-leaping fast path); default: experiments exact, scenario/sched leap")
 	outDir := fs.String("out", "results", "output directory for `export`")
 	fs.Usage = func() { usage(fs, stderr) }
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	dimetrodon.SetJobs(*jobs)
-	if err := dimetrodon.SetIntegrator(*integrator); err != nil {
+	ec := dimetrodon.Engine{Integrator: *integrator, Jobs: *jobs}
+	if err := ec.Validate(); err != nil {
 		fmt.Fprintf(stderr, "dimctl: %v\n", err)
 		return 2
 	}
@@ -63,11 +63,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case "snapshot":
 		return snapshotCmd(rest[1:], stdout, stderr)
 	case "incident":
-		return incidentCmd(rest[1:], stdout, stderr)
+		return incidentCmd(rest[1:], ec, stdout, stderr)
 	case "scenario":
-		return scenarioCmd(rest[1:], dimetrodon.Scale(*scale), *outDir, stdout, stderr)
+		return scenarioCmd(rest[1:], dimetrodon.Scale(*scale), ec, *outDir, stdout, stderr)
 	case "sched":
-		return schedCmd(rest[1:], dimetrodon.Scale(*scale), *outDir, stdout, stderr)
+		return schedCmd(rest[1:], dimetrodon.Scale(*scale), ec, *outDir, stdout, stderr)
 	case "list":
 		for _, id := range dimetrodon.ExperimentIDs() {
 			e := dimetrodon.Experiments[id]
@@ -92,7 +92,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 			fmt.Fprintf(stdout, "==== %s (%s) ====\n", e.ID, e.Title)
 			start := time.Now()
-			if err := e.Run(stdout, dimetrodon.Scale(*scale)); err != nil {
+			if err := e.Run(stdout, dimetrodon.Scale(*scale), ec); err != nil {
 				fmt.Fprintf(stderr, "dimctl: %s failed: %v\n", id, err)
 				return 1
 			}
@@ -114,7 +114,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 				return 2
 			}
 			start := time.Now()
-			paths, err := dimetrodon.Export(id, dimetrodon.Scale(*scale), *outDir)
+			paths, err := dimetrodon.Export(id, dimetrodon.Scale(*scale), *outDir, ec)
 			if err != nil {
 				fmt.Fprintf(stderr, "dimctl: exporting %s: %v\n", id, err)
 				return 1
@@ -199,7 +199,7 @@ func printPaths(w io.Writer, label string, paths []string, start time.Time) {
 // (their default placement policy); plain fleets run through the scenario
 // engine. `mega` tiles the fleet out to -machines and prints the summary.
 // Flags are also accepted after the scenario names.
-func scenarioCmd(args []string, scale dimetrodon.Scale, outDir string, stdout, stderr io.Writer) int {
+func scenarioCmd(args []string, scale dimetrodon.Scale, ec dimetrodon.Engine, outDir string, stdout, stderr io.Writer) int {
 	if len(args) == 0 {
 		fmt.Fprintln(stderr, "dimctl: scenario requires a subcommand: list, run, export or mega")
 		return 2
@@ -208,9 +208,9 @@ func scenarioCmd(args []string, scale dimetrodon.Scale, outDir string, stdout, s
 	trailing := flag.NewFlagSet("scenario", flag.ContinueOnError)
 	trailing.SetOutput(stderr)
 	trailingScale := trailing.Float64("scale", float64(scale), "experiment scale")
-	trailingJobs := trailing.Int("jobs", 0, "parallel trial workers")
+	trailingJobs := trailing.Int("jobs", ec.Jobs, "parallel trial workers")
 	trailingOut := trailing.String("out", outDir, "output directory for export")
-	trailingInteg := trailing.String("integrator", "", "thermal integrator override (exact|leap)")
+	trailingInteg := trailing.String("integrator", ec.Integrator, "thermal integrator (exact|leap)")
 	trailingMachines := trailing.Int("machines", 1_000_000, "tiled fleet size for `scenario mega`")
 	if len(rest) > 0 {
 		if err := trailing.Parse(rest); err != nil {
@@ -218,14 +218,10 @@ func scenarioCmd(args []string, scale dimetrodon.Scale, outDir string, stdout, s
 		}
 		scale = dimetrodon.Scale(*trailingScale)
 		outDir = *trailingOut
-		if *trailingJobs != 0 {
-			dimetrodon.SetJobs(*trailingJobs)
-		}
-		if *trailingInteg != "" {
-			if err := dimetrodon.SetIntegrator(*trailingInteg); err != nil {
-				fmt.Fprintf(stderr, "dimctl: %v\n", err)
-				return 2
-			}
+		ec = dimetrodon.Engine{Integrator: *trailingInteg, Jobs: *trailingJobs}
+		if err := ec.Validate(); err != nil {
+			fmt.Fprintf(stderr, "dimctl: %v\n", err)
+			return 2
 		}
 	}
 	resolve := func() ([]string, int) {
@@ -266,9 +262,9 @@ func scenarioCmd(args []string, scale dimetrodon.Scale, outDir string, stdout, s
 			var rendered fmt.Stringer
 			var err error
 			if s, _ := dimetrodon.LookupScenario(name); s != nil && s.Scheduler != nil {
-				rendered, err = dimetrodon.RunSchedScenario(name, "", scale)
+				rendered, err = dimetrodon.RunSchedScenario(name, "", scale, ec)
 			} else {
-				rendered, err = dimetrodon.RunScenario(name, scale)
+				rendered, err = dimetrodon.RunScenario(name, scale, ec)
 			}
 			if err != nil {
 				fmt.Fprintf(stderr, "dimctl: scenario %s failed: %v\n", name, err)
@@ -285,7 +281,7 @@ func scenarioCmd(args []string, scale dimetrodon.Scale, outDir string, stdout, s
 		}
 		for _, name := range targets {
 			start := time.Now()
-			paths, err := dimetrodon.ExportScenario(name, scale, outDir)
+			paths, err := dimetrodon.ExportScenario(name, scale, outDir, ec)
 			if err != nil {
 				fmt.Fprintf(stderr, "dimctl: exporting scenario %s: %v\n", name, err)
 				return 1
@@ -300,7 +296,7 @@ func scenarioCmd(args []string, scale dimetrodon.Scale, outDir string, stdout, s
 		}
 		for _, name := range targets {
 			start := time.Now()
-			res, err := dimetrodon.RunMegaScenario(name, *trailingMachines, scale)
+			res, err := dimetrodon.RunMegaScenario(name, *trailingMachines, scale, ec)
 			if err != nil {
 				fmt.Fprintf(stderr, "dimctl: scenario %s failed: %v\n", name, err)
 				return 1
@@ -324,7 +320,7 @@ func scenarioCmd(args []string, scale dimetrodon.Scale, outDir string, stdout, s
 //
 // Scenario names may also be passed via -scenario; only scenarios with a
 // scheduler block qualify.
-func schedCmd(args []string, scale dimetrodon.Scale, outDir string, stdout, stderr io.Writer) int {
+func schedCmd(args []string, scale dimetrodon.Scale, ec dimetrodon.Engine, outDir string, stdout, stderr io.Writer) int {
 	if len(args) == 0 {
 		fmt.Fprintln(stderr, "dimctl: sched requires a subcommand: policies, run, compare or export")
 		return 2
@@ -333,25 +329,21 @@ func schedCmd(args []string, scale dimetrodon.Scale, outDir string, stdout, stde
 	trailing := flag.NewFlagSet("sched", flag.ContinueOnError)
 	trailing.SetOutput(stderr)
 	trailingScale := trailing.Float64("scale", float64(scale), "experiment scale")
-	trailingJobs := trailing.Int("jobs", 0, "parallel trial workers")
+	trailingJobs := trailing.Int("jobs", ec.Jobs, "parallel trial workers")
 	trailingOut := trailing.String("out", outDir, "output directory for export")
 	policy := trailing.String("policy", "", "placement policy for `sched run` (default: the scenario's)")
 	scenarioFlag := trailing.String("scenario", "", "scheduled scenario name (alternative to a positional name)")
-	trailingInteg := trailing.String("integrator", "", "thermal integrator override (exact|leap)")
+	trailingInteg := trailing.String("integrator", ec.Integrator, "thermal integrator (exact|leap)")
 	if len(rest) > 0 {
 		if err := trailing.Parse(rest); err != nil {
 			return 2
 		}
 		scale = dimetrodon.Scale(*trailingScale)
 		outDir = *trailingOut
-		if *trailingJobs != 0 {
-			dimetrodon.SetJobs(*trailingJobs)
-		}
-		if *trailingInteg != "" {
-			if err := dimetrodon.SetIntegrator(*trailingInteg); err != nil {
-				fmt.Fprintf(stderr, "dimctl: %v\n", err)
-				return 2
-			}
+		ec = dimetrodon.Engine{Integrator: *trailingInteg, Jobs: *trailingJobs}
+		if err := ec.Validate(); err != nil {
+			fmt.Fprintf(stderr, "dimctl: %v\n", err)
+			return 2
 		}
 		if *scenarioFlag != "" {
 			names = append(names, *scenarioFlag)
@@ -401,7 +393,7 @@ func schedCmd(args []string, scale dimetrodon.Scale, outDir string, stdout, stde
 		}
 		for _, name := range targets {
 			start := time.Now()
-			res, err := dimetrodon.RunSchedScenario(name, *policy, scale)
+			res, err := dimetrodon.RunSchedScenario(name, *policy, scale, ec)
 			if err != nil {
 				fmt.Fprintf(stderr, "dimctl: sched run %s failed: %v\n", name, err)
 				return 1
@@ -417,7 +409,7 @@ func schedCmd(args []string, scale dimetrodon.Scale, outDir string, stdout, stde
 		}
 		for _, name := range targets {
 			start := time.Now()
-			c, err := dimetrodon.CompareSchedScenario(name, scale)
+			c, err := dimetrodon.CompareSchedScenario(name, scale, ec)
 			if err != nil {
 				fmt.Fprintf(stderr, "dimctl: sched compare %s failed: %v\n", name, err)
 				return 1
@@ -435,7 +427,7 @@ func schedCmd(args []string, scale dimetrodon.Scale, outDir string, stdout, stde
 			start := time.Now()
 			// One sweep serves both artefacts: the default-policy run's
 			// CSVs come from the comparison's own results, not a re-run.
-			c, err := dimetrodon.CompareSchedScenario(name, scale)
+			c, err := dimetrodon.CompareSchedScenario(name, scale, ec)
 			if err != nil {
 				fmt.Fprintf(stderr, "dimctl: sched export %s: %v\n", name, err)
 				return 1

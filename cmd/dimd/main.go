@@ -78,7 +78,7 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 	cacheMB := fs.Int("cache-mb", 64, "result cache budget in MiB")
 	scale := fs.Float64("scale", 1.0, "default job scale when a request omits one")
 	jobs := fs.Int("jobs", 0, "per-job trial parallelism; 0 = GOMAXPROCS")
-	integrator := fs.String("integrator", "", "thermal integrator override: exact or leap")
+	integrator := fs.String("integrator", "", "thermal integrator: exact or leap; default: experiments exact, scenario/sched leap")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "graceful drain bound before in-flight jobs are cancelled")
 	dataDir := fs.String("data-dir", "", "durable state directory (job journal, checkpoints, artifacts); empty = in-memory")
 	checkpointEvery := fs.Int("checkpoint-every", 0, "scheduled-run checkpoint cadence in round barriers; 0 = default (5), negative disables")
@@ -102,8 +102,8 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		fmt.Fprintf(stderr, "dimd: unexpected arguments %v\n", fs.Args())
 		return 2
 	}
-	dimetrodon.SetJobs(*jobs)
-	if err := dimetrodon.SetIntegrator(*integrator); err != nil {
+	ec := dimetrodon.Engine{Integrator: *integrator, Jobs: *jobs}
+	if err := ec.Validate(); err != nil {
 		fmt.Fprintf(stderr, "dimd: %v\n", err)
 		return 2
 	}
@@ -165,6 +165,7 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		DataDir:         *dataDir,
 		CheckpointEvery: *checkpointEvery,
 		Logger:          logger,
+		Engine:          ec,
 	}
 	cfg.Cluster.Workers = workerURLs
 	cfg.Cluster.LeaseTTL = *leaseTTL

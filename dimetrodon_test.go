@@ -130,7 +130,7 @@ func TestExportCoversRegistry(t *testing.T) {
 		case "table1", "fig4", "fig5", "val-throughput":
 			continue
 		}
-		paths, err := Export(id, 0.02, dir)
+		paths, err := Export(id, 0.02, dir, Engine{})
 		if err != nil {
 			t.Errorf("Export(%s): %v", id, err)
 			continue
@@ -143,7 +143,7 @@ func TestExportCoversRegistry(t *testing.T) {
 
 func TestExperimentRunsToWriter(t *testing.T) {
 	var b strings.Builder
-	if err := Experiments["fig1"].Run(&b, 0.25); err != nil {
+	if err := Experiments["fig1"].Run(&b, 0.25, Engine{}); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(b.String(), "Figure 1") {

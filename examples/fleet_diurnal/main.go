@@ -17,7 +17,7 @@ func main() {
 	fmt.Println("Fleet diurnal: a compressed datacenter day across 24 machines")
 	fmt.Println()
 
-	managed, err := dimetrodon.RunScenario("fleet-diurnal", scale)
+	managed, err := dimetrodon.RunScenario("fleet-diurnal", scale, dimetrodon.Engine{})
 	if err != nil {
 		panic(err)
 	}
@@ -34,7 +34,7 @@ func main() {
 	baseline.Policy.P = 0
 	baseline.Policy.LMS = 0
 
-	unmanaged, err := dimetrodon.RunScenarioSpec(&baseline, scale)
+	unmanaged, err := dimetrodon.RunScenarioSpec(&baseline, scale, dimetrodon.Engine{})
 	if err != nil {
 		panic(err)
 	}

@@ -20,12 +20,12 @@ func main() {
 
 	fmt.Printf("Dimetrodon thermal sweep at scale %.2f\n\n", *scale)
 	fmt.Println("-- Figure 3: efficiency vs idle quantum length --")
-	if err := dimetrodon.Experiments["fig3"].Run(os.Stdout, dimetrodon.Scale(*scale)); err != nil {
+	if err := dimetrodon.Experiments["fig3"].Run(os.Stdout, dimetrodon.Scale(*scale), dimetrodon.Engine{}); err != nil {
 		fmt.Fprintln(os.Stderr, "fig3:", err)
 		os.Exit(1)
 	}
 	fmt.Println("-- Figure 4: Dimetrodon vs VFS vs p4tcc --")
-	if err := dimetrodon.Experiments["fig4"].Run(os.Stdout, dimetrodon.Scale(*scale)); err != nil {
+	if err := dimetrodon.Experiments["fig4"].Run(os.Stdout, dimetrodon.Scale(*scale), dimetrodon.Engine{}); err != nil {
 		fmt.Fprintln(os.Stderr, "fig4:", err)
 		os.Exit(1)
 	}

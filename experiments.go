@@ -8,11 +8,11 @@ import (
 	"time"
 
 	"repro/internal/bench"
+	"repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/internal/export"
 	"repro/internal/fleetsched"
 	"repro/internal/machine"
-	"repro/internal/runner"
 	"repro/internal/scenario"
 	"repro/internal/service"
 )
@@ -28,32 +28,19 @@ const (
 	QuickScale = experiments.Quick
 )
 
-// SetJobs sets the trial-level parallelism of every experiment harness: the
-// number of workers the sweep engine fans independent simulations across.
-// n <= 0 restores the default (GOMAXPROCS). Results are byte-identical at any
-// setting — trials derive their seeds from their position in the sweep, never
-// from a shared stream — so this is purely a wall-clock knob (cmd/dimctl
-// exposes it as -jobs).
-func SetJobs(n int) { runner.SetJobs(n) }
-
-// Jobs returns the effective trial-level parallelism.
-func Jobs() int { return runner.Jobs() }
+// Engine is the caller-owned engine value every run takes: which thermal
+// integrator machines use (IntegratorExact, IntegratorLeap, or "" for the
+// defaults — experiments exact, scenario and sched runs leap) and how many
+// trials run at once (0 = GOMAXPROCS). Results are byte-identical at any
+// Jobs: trials derive their seeds from their position in the sweep, never
+// from a shared stream. cmd/dimctl builds one from -integrator and -jobs.
+type Engine = engine.Config
 
 // Integrator mode names, re-exported for CLI validation.
 const (
 	IntegratorExact = machine.IntegratorExact
 	IntegratorLeap  = machine.IntegratorLeap
 )
-
-// SetIntegrator installs the process-wide thermal-integrator override:
-// "exact" forces byte-identical step-by-step integration everywhere, "leap"
-// opts every harness into the quiescence-leaping fast path, and "" restores
-// the defaults (experiments exact, scenario and sched runs leap). cmd/dimctl
-// exposes it as -integrator. Unknown modes return an error.
-func SetIntegrator(mode string) error { return machine.SetIntegratorOverride(mode) }
-
-// Integrator returns the current process-wide override ("" when unset).
-func Integrator() string { return machine.IntegratorOverride() }
 
 // MicroBench is one kernel micro-benchmark `dimctl bench` can run in smoke
 // mode.
@@ -75,8 +62,16 @@ type Experiment struct {
 	ID      string
 	Title   string
 	Summary string
-	// Run executes the harness and writes the rendered result to w.
-	Run func(w io.Writer, scale Scale) error
+	// Run executes the harness under ec and writes the rendered result to w.
+	Run func(w io.Writer, scale Scale, ec Engine) error
+}
+
+// printed adapts a harness to Experiment.Run: run it and print its result.
+func printed[R fmt.Stringer](harness func(Scale, Engine) R) func(io.Writer, Scale, Engine) error {
+	return func(w io.Writer, s Scale, ec Engine) error {
+		_, err := fmt.Fprintln(w, harness(s, ec))
+		return err
+	}
 }
 
 // Experiments maps experiment IDs to harnesses — one per figure and table of
@@ -85,146 +80,92 @@ var Experiments = map[string]Experiment{
 	"fig1": {
 		ID: "fig1", Title: "Figure 1: race-to-idle vs Dimetrodon power trace",
 		Summary: "Package power while a 4-thread CPU-bound job runs, with and without injection.",
-		Run: func(w io.Writer, s Scale) error {
-			_, err := fmt.Fprintln(w, experiments.RunFigure1(s))
-			return err
-		},
+		Run:     printed(experiments.RunFigure1),
 	},
 	"val-throughput": {
 		ID: "val-throughput", Title: "§3.3 throughput model validation",
 		Summary: "Measured runtimes vs D(t)=R+S·p/(1−p)·L across the p×L grid.",
-		Run: func(w io.Writer, s Scale) error {
-			_, err := fmt.Fprintln(w, experiments.RunValidationThroughput(s))
-			return err
-		},
+		Run:     printed(experiments.RunValidationThroughput),
 	},
 	"val-energy": {
 		ID: "val-energy", Title: "§3.3 energy model validation",
 		Summary: "Dimetrodon energy as % of race-to-idle over equal windows.",
-		Run: func(w io.Writer, s Scale) error {
-			_, err := fmt.Fprintln(w, experiments.RunValidationEnergy(s))
-			return err
-		},
+		Run:     printed(experiments.RunValidationEnergy),
 	},
 	"fig2": {
 		ID: "fig2", Title: "Figure 2: temperature rise over idle vs time",
 		Summary: "cpuburn under p ∈ {0,.25,.5,.75}, L=100ms.",
-		Run: func(w io.Writer, s Scale) error {
-			_, err := fmt.Fprintln(w, experiments.RunFigure2(s))
-			return err
-		},
+		Run:     printed(experiments.RunFigure2),
 	},
 	"fig3": {
 		ID: "fig3", Title: "Figure 3: efficiency vs idle quantum length",
 		Summary: "Temperature:throughput efficiency across L ∈ [1,100]ms per p.",
-		Run: func(w io.Writer, s Scale) error {
-			_, err := fmt.Fprintln(w, experiments.RunFigure3(s))
-			return err
-		},
+		Run:     printed(experiments.RunFigure3),
 	},
 	"fig4": {
 		ID: "fig4", Title: "Figure 4: technique comparison sweep",
 		Summary: "Dimetrodon vs VFS vs p4tcc Pareto boundaries and power-law fit.",
-		Run: func(w io.Writer, s Scale) error {
-			_, err := fmt.Fprintln(w, experiments.RunFigure4(s))
-			return err
-		},
+		Run:     printed(experiments.RunFigure4),
 	},
 	"table1": {
 		ID: "table1", Title: "Table 1: SPEC CPU2006 workload results",
 		Summary: "Rise % of cpuburn and T(r)=α·r^β fits per workload.",
-		Run: func(w io.Writer, s Scale) error {
-			_, err := fmt.Fprintln(w, experiments.RunTable1(s))
-			return err
-		},
+		Run:     printed(experiments.RunTable1),
 	},
 	"fig5": {
 		ID: "fig5", Title: "Figure 5: global vs thread-specific control",
 		Summary: "Cool-process throughput vs system temperature reduction.",
-		Run: func(w io.Writer, s Scale) error {
-			_, err := fmt.Fprintln(w, experiments.RunFigure5(s))
-			return err
-		},
+		Run:     printed(experiments.RunFigure5),
 	},
 	"fig6": {
 		ID: "fig6", Title: "Figure 6: web workload QoS vs temperature",
 		Summary: "SPECWeb-like closed loop; good/tolerable QoS boundaries.",
-		Run: func(w io.Writer, s Scale) error {
-			_, err := fmt.Fprintln(w, experiments.RunFigure6(s))
-			return err
-		},
+		Run:     printed(experiments.RunFigure6),
 	},
 	"abl-leakage": {
 		ID: "abl-leakage", Title: "Ablation: leakage temperature coupling",
 		Summary: "Trade-off curves with leakage frozen at its reference value.",
-		Run: func(w io.Writer, s Scale) error {
-			_, err := fmt.Fprintln(w, experiments.RunAblationLeakage(s))
-			return err
-		},
+		Run:     printed(experiments.RunAblationLeakage),
 	},
 	"abl-cstate": {
 		ID: "abl-cstate", Title: "Ablation: C1E vs halt-only injected idle",
 		Summary: "Injected quanta at full-voltage halt instead of C1E.",
-		Run: func(w io.Writer, s Scale) error {
-			_, err := fmt.Fprintln(w, experiments.RunAblationCState(s))
-			return err
-		},
+		Run:     printed(experiments.RunAblationCState),
 	},
 	"abl-deterministic": {
 		ID: "abl-deterministic", Title: "Ablation: deterministic injection",
 		Summary: "Error-accumulator injection vs the probabilistic model.",
-		Run: func(w io.Writer, s Scale) error {
-			_, err := fmt.Fprintln(w, experiments.RunAblationDeterministic(s))
-			return err
-		},
+		Run:     printed(experiments.RunAblationDeterministic),
 	},
 	"abl-hotspot": {
 		ID: "abl-hotspot", Title: "Ablation: sensor placement (hotspot)",
 		Summary: "Trade-off sensitivity to reading a fast hotspot node instead of the junction block.",
-		Run: func(w io.Writer, s Scale) error {
-			_, err := fmt.Fprintln(w, experiments.RunAblationHotspot(s))
-			return err
-		},
+		Run:     printed(experiments.RunAblationHotspot),
 	},
 	"abl-kernel": {
 		ID: "abl-kernel", Title: "Ablation: injecting kernel threads",
 		Summary: "§3.1 policy decision — QoS cost of making the interrupt path injectable.",
-		Run: func(w io.Writer, s Scale) error {
-			_, err := fmt.Fprintln(w, experiments.RunAblationKernelThreads(s))
-			return err
-		},
+		Run:     printed(experiments.RunAblationKernelThreads),
 	},
 	"ext-adaptive": {
 		ID: "ext-adaptive", Title: "Extension: adaptive setpoint control",
 		Summary: "Closed-loop online policy adjustment (§2.1) holding a junction target across load phases.",
-		Run: func(w io.Writer, s Scale) error {
-			_, err := fmt.Fprintln(w, experiments.RunAdaptiveControl(s))
-			return err
-		},
+		Run:     printed(experiments.RunAdaptiveControl),
 	},
 	"ext-smt": {
 		ID: "ext-smt", Title: "Extension: SMT idle co-scheduling",
 		Summary: "§3.2's deferred problem — gang-idling sibling contexts so the core reaches C1E.",
-		Run: func(w io.Writer, s Scale) error {
-			_, err := fmt.Fprintln(w, experiments.RunSMTCoScheduling(s))
-			return err
-		},
+		Run:     printed(experiments.RunSMTCoScheduling),
 	},
 	"ext-ule": {
 		ID: "ext-ule", Title: "Extension: scheduler generality (ULE)",
 		Summary: "Footnote 2's claim — identical trade-offs under a ULE-style per-CPU-queue scheduler.",
-		Run: func(w io.Writer, s Scale) error {
-			_, err := fmt.Fprintln(w, experiments.RunULEComparison(s))
-			return err
-		},
+		Run:     printed(experiments.RunULEComparison),
 	},
 	"ext-emergency": {
 		ID: "ext-emergency", Title: "Extension: cooling failure vs reactive DTM",
 		Summary: "§1's framing — preventive control keeps the PROCHOT/TM1 backstop dormant under a fan failure.",
-		Run: func(w io.Writer, s Scale) error {
-			_, err := fmt.Fprintln(w, experiments.RunEmergencyScenario(s))
-			return err
-		},
+		Run:     printed(experiments.RunEmergencyScenario),
 	},
 }
 
@@ -238,11 +179,11 @@ func ExperimentIDs() []string {
 	return ids
 }
 
-// Export runs the identified experiment and writes plot-ready CSV files into
-// dir, returning the written paths. Every experiment ID in Experiments is
-// exportable.
-func Export(id string, scale Scale, dir string) ([]string, error) {
-	return experiments.Export(id, scale, dir)
+// Export runs the identified experiment under ec and writes plot-ready CSV
+// files into dir, returning the written paths. Every experiment ID in
+// Experiments is exportable.
+func Export(id string, scale Scale, dir string, ec Engine) ([]string, error) {
+	return experiments.Export(id, scale, dir, ec)
 }
 
 // --- Scenario engine (beyond the paper's fixed evaluation) ---
@@ -267,18 +208,17 @@ func RegisterScenario(s *ScenarioSpec) error { return scenario.Register(s) }
 // DecodeScenario parses and validates a JSON scenario spec.
 func DecodeScenario(data []byte) (*ScenarioSpec, error) { return scenario.Decode(data) }
 
-// RunScenario executes the named registered scenario's fleet across the
-// worker pool (see SetJobs) and returns the aggregated result. Homogeneous
-// machines share compiled propagator ladders and step out of
-// structure-of-arrays slabs, and provably seed-insensitive configurations
+// RunScenario executes the named registered scenario's fleet across ec's
+// worker pool and returns the aggregated result. Homogeneous machines share
+// compiled propagator ladders, and provably seed-insensitive configurations
 // simulate once per group. Output is byte-identical at any parallelism level.
-func RunScenario(name string, scale Scale) (*ScenarioResult, error) {
-	return scenario.RunByName(name, float64(scale))
+func RunScenario(name string, scale Scale, ec Engine) (*ScenarioResult, error) {
+	return scenario.RunByName(name, float64(scale), ec)
 }
 
 // RunScenarioSpec executes an ad-hoc (possibly unregistered) scenario spec.
-func RunScenarioSpec(s *ScenarioSpec, scale Scale) (*ScenarioResult, error) {
-	return scenario.Run(s, float64(scale))
+func RunScenarioSpec(s *ScenarioSpec, scale Scale, ec Engine) (*ScenarioResult, error) {
+	return scenario.RunOpts(s, float64(scale), scenario.RunOptions{Engine: ec})
 }
 
 // MegaScenarioResult is a tiled mega-fleet scenario run — the fleet summary
@@ -289,18 +229,18 @@ type MegaScenarioResult = scenario.MegaResult
 // given fleet size (machine i replicates compiled trial i mod fleet), so a
 // million-machine summary costs one base-fleet run plus an
 // index-ordered aggregation pass. cmd/dimctl exposes it as `scenario mega`.
-func RunMegaScenario(name string, machines int, scale Scale) (*MegaScenarioResult, error) {
-	return scenario.RunMegaByName(name, machines, float64(scale))
+func RunMegaScenario(name string, machines int, scale Scale, ec Engine) (*MegaScenarioResult, error) {
+	return scenario.RunMegaByName(name, machines, float64(scale), ec)
 }
 
 // ExportScenario runs the named scenario and writes its per-machine and
 // fleet-aggregate CSVs into dir. Scheduled scenarios route through the
 // fleetsched engine and additionally export the per-job ledger.
-func ExportScenario(name string, scale Scale, dir string) ([]string, error) {
+func ExportScenario(name string, scale Scale, dir string, ec Engine) ([]string, error) {
 	if s, ok := scenario.Get(name); ok && s.Scheduler != nil {
-		return fleetsched.Export(name, float64(scale), dir)
+		return fleetsched.Export(name, float64(scale), dir, ec)
 	}
-	return scenario.Export(name, float64(scale), dir)
+	return scenario.Export(name, float64(scale), dir, ec)
 }
 
 // --- Fleet scheduler (thermal-aware placement across the fleet) ---
@@ -322,14 +262,14 @@ func ValidSchedPolicy(name string) bool { return scenario.ValidPlacementPolicy(n
 // RunSchedScenario executes the named scheduled scenario under the given
 // placement policy (empty selects the spec's default). Output is
 // byte-identical at any -jobs setting.
-func RunSchedScenario(name, policy string, scale Scale) (*SchedResult, error) {
-	return fleetsched.RunByName(name, policy, float64(scale))
+func RunSchedScenario(name, policy string, scale Scale, ec Engine) (*SchedResult, error) {
+	return fleetsched.RunByName(name, policy, float64(scale), ec)
 }
 
 // CompareSchedScenario sweeps the named scheduled scenario over every
 // placement policy.
-func CompareSchedScenario(name string, scale Scale) (*SchedComparison, error) {
-	return fleetsched.CompareByName(name, float64(scale))
+func CompareSchedScenario(name string, scale Scale, ec Engine) (*SchedComparison, error) {
+	return fleetsched.CompareByName(name, float64(scale), ec)
 }
 
 // ExportSchedComparison writes the policy-comparison CSV into dir.
@@ -345,8 +285,8 @@ func ExportSchedResult(r *SchedResult, dir string) ([]string, error) {
 
 // ExportSchedScenario runs the named scheduled scenario under its default
 // policy and writes its per-machine, fleet and per-job CSVs into dir.
-func ExportSchedScenario(name string, scale Scale, dir string) ([]string, error) {
-	return fleetsched.Export(name, float64(scale), dir)
+func ExportSchedScenario(name string, scale Scale, dir string, ec Engine) ([]string, error) {
+	return fleetsched.Export(name, float64(scale), dir, ec)
 }
 
 // --- Simulation-as-a-service (the dimd daemon core) ---
@@ -380,19 +320,19 @@ func OpenService(cfg ServiceConfig) (*SimService, error) {
 func ServiceExperiments() service.ExperimentSource {
 	return service.ExperimentSource{
 		IDs: ExperimentIDs,
-		Run: func(id string, scale float64) (string, error) {
+		Run: func(id string, scale float64, ec Engine) (string, error) {
 			e, ok := Experiments[id]
 			if !ok {
 				return "", fmt.Errorf("unknown experiment %q", id)
 			}
 			var b strings.Builder
-			if err := e.Run(&b, Scale(scale)); err != nil {
+			if err := e.Run(&b, Scale(scale), ec); err != nil {
 				return "", err
 			}
 			return b.String(), nil
 		},
-		Render: func(id string, scale float64) ([]export.File, error) {
-			return experiments.Render(id, Scale(scale))
+		Render: func(id string, scale float64, ec Engine) ([]export.File, error) {
+			return experiments.Render(id, Scale(scale), ec)
 		},
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"net/http/httptest"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/fleetsched"
 	"repro/internal/scenario"
 	"repro/internal/service"
@@ -145,7 +146,7 @@ func Micros() []Micro {
 			Doc:  "fleet-diurnal scenario end to end at golden scale (leap integrator)",
 			Run: func(iters int) error {
 				for i := 0; i < iters; i++ {
-					if _, err := scenario.RunByName("fleet-diurnal", 0.05); err != nil {
+					if _, err := scenario.RunByName("fleet-diurnal", 0.05, engine.Config{}); err != nil {
 						return err
 					}
 				}
@@ -157,7 +158,7 @@ func Micros() []Micro {
 			Doc:  "fleet-diurnal tiled to 100k machines through the batched engine",
 			Run: func(iters int) error {
 				for i := 0; i < iters; i++ {
-					res, err := scenario.RunMegaByName("fleet-diurnal", 100_000, 0.05)
+					res, err := scenario.RunMegaByName("fleet-diurnal", 100_000, 0.05, engine.Config{})
 					if err != nil {
 						return err
 					}
@@ -173,7 +174,7 @@ func Micros() []Micro {
 			Doc:  "sched-shootout scheduled run at golden scale, default policy",
 			Run: func(iters int) error {
 				for i := 0; i < iters; i++ {
-					if _, err := fleetsched.RunByName("sched-shootout", "", 0.05); err != nil {
+					if _, err := fleetsched.RunByName("sched-shootout", "", 0.05, engine.Config{}); err != nil {
 						return err
 					}
 				}

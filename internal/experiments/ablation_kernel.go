@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/machine"
 	"repro/internal/runner"
 	"repro/internal/units"
@@ -34,7 +35,7 @@ type KernelAblationResult struct {
 // injectable, request processing is delayed twice — once in the kernel and
 // again in the user thread — degrading QoS for no additional temperature
 // benefit.
-func RunAblationKernelThreads(scale Scale) KernelAblationResult {
+func RunAblationKernelThreads(scale Scale, ec engine.Config) KernelAblationResult {
 	duration := scale.seconds(180)
 	webCfg := webserver.DefaultConfig()
 	if w := duration / 6; w < webCfg.Warmup {
@@ -47,7 +48,7 @@ func RunAblationKernelThreads(scale Scale) KernelAblationResult {
 		kernelInjs int
 	}
 	run := func(p float64, l units.Time, injectKernel bool, seed uint64) outcome {
-		cfg := machine.DefaultConfig()
+		cfg := machineConfig(ec)
 		cfg.Meter.Disabled = true
 		cfg.Seed = seed
 		m := machine.New(cfg)
@@ -97,7 +98,7 @@ func RunAblationKernelThreads(scale Scale) KernelAblationResult {
 			kaSpec{g.p, g.l, false, 956},
 			kaSpec{g.p, g.l, true, 957})
 	}
-	outs := runner.Map(specs, func(_ int, s kaSpec) outcome {
+	outs := runner.Map(ec.Jobs, specs, func(_ int, s kaSpec) outcome {
 		return run(s.p, s.l, s.injectKernel, s.seed)
 	})
 	base := outs[0]

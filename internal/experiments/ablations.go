@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/cpu"
 	"repro/internal/dtm"
+	"repro/internal/engine"
 	"repro/internal/machine"
 	"repro/internal/runner"
 	"repro/internal/units"
@@ -26,7 +27,7 @@ type AblationResult struct {
 }
 
 // abSweep runs a small p×L grid under two machine variants.
-func abSweep(name, desc string, scale Scale, mutate func(*machine.Machine), mutateCfg func(*machine.Config)) AblationResult {
+func abSweep(name, desc string, scale Scale, ec engine.Config, mutate func(*machine.Machine), mutateCfg func(*machine.Config)) AblationResult {
 	settle := scale.seconds(180)
 	window := scale.seconds(30)
 	res := AblationResult{Name: name, Description: desc}
@@ -42,7 +43,7 @@ func abSweep(name, desc string, scale Scale, mutate func(*machine.Machine), muta
 	}
 	measure := func(p float64, l units.Time, variant bool, seed uint64) Figure3Point {
 		mk := func(tech dtm.Technique, s uint64) SteadyResult {
-			cfg := machine.DefaultConfig()
+			cfg := machineConfig(ec)
 			cfg.Meter.Disabled = true
 			cfg.Seed = s
 			if variant && mutateCfg != nil {
@@ -97,7 +98,7 @@ func abSweep(name, desc string, scale Scale, mutate func(*machine.Machine), muta
 			abSpec{g.p, g.l, false, seed},
 			abSpec{g.p, g.l, true, seed + 5})
 	}
-	points := runner.Map(specs, func(_ int, s abSpec) Figure3Point {
+	points := runner.Map(ec.Jobs, specs, func(_ int, s abSpec) Figure3Point {
 		return measure(s.p, s.l, s.variant, s.seed)
 	})
 	for i, g := range grid {
@@ -115,10 +116,10 @@ func abSweep(name, desc string, scale Scale, mutate func(*machine.Machine), muta
 // freezes leakage at its reference value (LeakageTempCoupling = 0). Without
 // the coupling the curve collapses toward a flat, duty-proportional 1:1-ish
 // trade-off — demonstrating the mechanism DESIGN.md calls out.
-func RunAblationLeakage(scale Scale) AblationResult {
+func RunAblationLeakage(scale Scale, ec engine.Config) AblationResult {
 	return abSweep("leakage",
 		"temperature-dependent leakage on (baseline) vs frozen (variant)",
-		scale,
+		scale, ec,
 		func(m *machine.Machine) { m.Chip.LeakageTempCoupling = 0 },
 		nil)
 }
@@ -127,10 +128,10 @@ func RunAblationLeakage(scale Scale) AblationResult {
 // dropped) against a plain halt at full voltage — the paper's observation
 // that Dimetrodon remains useful on processors without low-power idle states
 // (§2.1), at reduced benefit.
-func RunAblationCState(scale Scale) AblationResult {
+func RunAblationCState(scale Scale, ec engine.Config) AblationResult {
 	return abSweep("cstate",
 		"injected quanta enter C1E (baseline) vs full-voltage halt (variant)",
-		scale,
+		scale, ec,
 		nil,
 		func(cfg *machine.Config) { cfg.InjectedIdle = cpu.C1Halt })
 }
@@ -141,10 +142,10 @@ func RunAblationCState(scale Scale) AblationResult {
 // the sensors and metrics at it — the physical placement of a real DTS. The
 // orderings of the trade-off curves should not depend on the placement; the
 // absolute operating point shifts a few degrees hotter.
-func RunAblationHotspot(scale Scale) AblationResult {
+func RunAblationHotspot(scale Scale, ec engine.Config) AblationResult {
 	return abSweep("hotspot",
 		"metrics at the junction block (baseline) vs a fast hotspot node (variant)",
-		scale,
+		scale, ec,
 		nil,
 		func(cfg *machine.Config) {
 			cfg.HotspotFraction = 0.35
@@ -155,7 +156,7 @@ func RunAblationHotspot(scale Scale) AblationResult {
 // RunAblationDeterministic compares probabilistic injection against the
 // deterministic error-accumulator variant the paper hypothesises would
 // produce "smoother curves but similar overall temperature trends" (§3.4).
-func RunAblationDeterministic(scale Scale) AblationResult {
+func RunAblationDeterministic(scale Scale, ec engine.Config) AblationResult {
 	settle := scale.seconds(180)
 	window := scale.seconds(30)
 	res := AblationResult{
@@ -170,15 +171,15 @@ func RunAblationDeterministic(scale Scale) AblationResult {
 	// Trial 0 is the shared race-to-idle baseline; then a probabilistic and
 	// a deterministic run per grid point.
 	spawn := SpawnBurnPerCore(1.0)
-	trials := []SteadyTrial{{Cfg: machine.DefaultConfig(), Tech: dtm.RaceToIdle{}, Spawn: spawn, Settle: settle, Window: window}}
+	trials := []SteadyTrial{{Cfg: machineConfig(ec), Tech: dtm.RaceToIdle{}, Spawn: spawn, Settle: settle, Window: window}}
 	for _, g := range grid {
 		for di, det := range []bool{false, true} {
-			cfg := machine.DefaultConfig()
+			cfg := machineConfig(ec)
 			cfg.Seed = uint64(91000+1000*di) + uint64(g.p*100)
 			trials = append(trials, SteadyTrial{Cfg: cfg, Tech: dtm.Dimetrodon{P: g.p, L: g.l, Deterministic: det}, Spawn: spawn, Settle: settle, Window: window})
 		}
 	}
-	results := RunSteadyAll(trials)
+	results := RunSteadyAll(ec.Jobs, trials)
 	base := results[0]
 	toPoint := func(g struct {
 		p float64

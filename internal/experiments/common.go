@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/dtm"
+	"repro/internal/engine"
 	"repro/internal/machine"
 	"repro/internal/runner"
 	"repro/internal/sched"
@@ -43,6 +44,14 @@ func (s Scale) trials(n int) int {
 		v = 3
 	}
 	return v
+}
+
+// machineConfig is the calibrated testbed (machine.DefaultConfig) under the
+// engine's integrator; an empty one resolves to exact in machine.New.
+func machineConfig(ec engine.Config) machine.Config {
+	cfg := machine.DefaultConfig()
+	cfg.Integrator = ec.Integrator
+	return cfg
 }
 
 // SteadyRun measures one technique under a steady workload: it runs the
@@ -116,12 +125,12 @@ type SteadyTrial struct {
 	Settle, Window units.Time
 }
 
-// RunSteadyAll executes the trials across the runner's worker pool and
+// RunSteadyAll executes the trials across a pool of jobs workers and
 // returns their results indexed like trials. Output is independent of the
 // parallelism level because each trial is a deterministic function of its
 // spec alone.
-func RunSteadyAll(trials []SteadyTrial) []SteadyResult {
-	return runner.Map(trials, func(_ int, t SteadyTrial) SteadyResult {
+func RunSteadyAll(jobs int, trials []SteadyTrial) []SteadyResult {
+	return runner.Map(jobs, trials, func(_ int, t SteadyTrial) SteadyResult {
 		return RunSteady(t.Cfg, t.Tech, t.Spawn, t.Settle, t.Window)
 	})
 }

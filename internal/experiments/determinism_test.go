@@ -3,7 +3,7 @@ package experiments
 import (
 	"testing"
 
-	"repro/internal/runner"
+	"repro/internal/engine"
 )
 
 // TestFigure3DeterministicAcrossJobs pins the runner's central contract: the
@@ -12,12 +12,8 @@ import (
 // than from a shared stream. A regression here means some component snuck a
 // shared RNG (or other cross-trial state) into the trial path.
 func TestFigure3DeterministicAcrossJobs(t *testing.T) {
-	defer runner.SetJobs(0)
-
-	runner.SetJobs(1)
-	serial := RunFigure3(Quick).String()
-	runner.SetJobs(8)
-	parallel := RunFigure3(Quick).String()
+	serial := RunFigure3(Quick, engine.Config{Jobs: 1}).String()
+	parallel := RunFigure3(Quick, engine.Config{Jobs: 8}).String()
 
 	if serial != parallel {
 		t.Fatalf("Figure 3 output differs between -jobs 1 and -jobs 8:\n--- jobs=1 ---\n%s\n--- jobs=8 ---\n%s", serial, parallel)
@@ -29,12 +25,8 @@ func TestFigure3DeterministicAcrossJobs(t *testing.T) {
 // partner's window) and which keeps the noisy instrument chain enabled — the
 // most RNG-sensitive sweep in the suite.
 func TestValidationEnergyDeterministicAcrossJobs(t *testing.T) {
-	defer runner.SetJobs(0)
-
-	runner.SetJobs(1)
-	serial := RunValidationEnergy(Quick).String()
-	runner.SetJobs(6)
-	parallel := RunValidationEnergy(Quick).String()
+	serial := RunValidationEnergy(Quick, engine.Config{Jobs: 1}).String()
+	parallel := RunValidationEnergy(Quick, engine.Config{Jobs: 6}).String()
 
 	if serial != parallel {
 		t.Fatalf("energy validation output differs between -jobs 1 and -jobs 6:\n--- jobs=1 ---\n%s\n--- jobs=6 ---\n%s", serial, parallel)

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"repro/internal/analysis"
+	"repro/internal/engine"
 	"repro/internal/export"
 	"repro/internal/trace"
 )
@@ -13,8 +14,8 @@ import (
 // CSV files into dir (created if needed), returning the paths written. It
 // covers every figure and table of the paper plus the extension studies;
 // ablation results are table-shaped and exported as a single CSV each.
-func Export(id string, scale Scale, dir string) ([]string, error) {
-	files, err := Render(id, scale)
+func Export(id string, scale Scale, dir string, ec engine.Config) ([]string, error) {
+	files, err := Render(id, scale, ec)
 	if err != nil {
 		return nil, err
 	}
@@ -24,23 +25,23 @@ func Export(id string, scale Scale, dir string) ([]string, error) {
 // Render runs the named experiment and renders its CSV artefacts in memory —
 // the single definition Export writes to disk and the service daemon serves
 // over HTTP, keeping the two byte-identical.
-func Render(id string, scale Scale) ([]export.File, error) {
+func Render(id string, scale Scale, ec engine.Config) ([]export.File, error) {
 	switch id {
 	case "fig1":
-		r := RunFigure1(scale)
+		r := RunFigure1(scale, ec)
 		return collect(
 			seriesCSV("fig1_race_to_idle.csv", r.RaceToIdle),
 			seriesCSV("fig1_dimetrodon.csv", r.Dimetrodon),
 		)
 	case "fig2":
-		r := RunFigure2(scale)
+		r := RunFigure2(scale, ec)
 		var files []namedCSV
 		for _, c := range r.Curves {
 			files = append(files, seriesCSV(fmt.Sprintf("fig2_rise_p%02.0f.csv", c.P*100), c.Rise))
 		}
 		return collect(files...)
 	case "fig3":
-		r := RunFigure3(scale)
+		r := RunFigure3(scale, ec)
 		var b strings.Builder
 		b.WriteString("p,L_ms,temp_reduction,perf_reduction,efficiency\n")
 		for _, pt := range r.Points {
@@ -49,7 +50,7 @@ func Render(id string, scale Scale) ([]export.File, error) {
 		}
 		return collect(namedCSV{Name: "fig3_efficiency.csv", Content: b.String()})
 	case "fig4":
-		r := RunFigure4(scale)
+		r := RunFigure4(scale, ec)
 		return collect(
 			pointsCSV("fig4_dimetrodon.csv", r.Dimetrodon),
 			pointsCSV("fig4_vfs.csv", r.VFS),
@@ -59,7 +60,7 @@ func Render(id string, scale Scale) ([]export.File, error) {
 			pointsCSV("fig4_p4tcc_pareto.csv", r.TCCPareto),
 		)
 	case "table1":
-		r := RunTable1(scale)
+		r := RunTable1(scale, ec)
 		var b strings.Builder
 		b.WriteString("workload,rise_pct,paper_rise_pct,alpha,paper_alpha,beta,paper_beta,fit_r2\n")
 		for _, row := range r.Rows {
@@ -69,13 +70,13 @@ func Render(id string, scale Scale) ([]export.File, error) {
 		}
 		return collect(namedCSV{Name: "table1_workloads.csv", Content: b.String()})
 	case "fig5":
-		r := RunFigure5(scale)
+		r := RunFigure5(scale, ec)
 		return collect(
 			fig5CSV("fig5_global.csv", r.Global),
 			fig5CSV("fig5_per_thread.csv", r.PerThread),
 		)
 	case "fig6":
-		r := RunFigure6(scale)
+		r := RunFigure6(scale, ec)
 		var b strings.Builder
 		b.WriteString("label,temp_reduction,good_qos,tolerable_qos,throughput_rps,mean_latency_s\n")
 		for _, p := range r.Points {
@@ -85,7 +86,7 @@ func Render(id string, scale Scale) ([]export.File, error) {
 		}
 		return collect(namedCSV{Name: "fig6_web_qos.csv", Content: b.String()})
 	case "val-throughput":
-		r := RunValidationThroughput(scale)
+		r := RunValidationThroughput(scale, ec)
 		var b strings.Builder
 		b.WriteString("p,L_ms,trials,predicted_s,measured_s,throughput_dev_pct\n")
 		for _, row := range r.Rows {
@@ -95,7 +96,7 @@ func Render(id string, scale Scale) ([]export.File, error) {
 		}
 		return collect(namedCSV{Name: "val_throughput.csv", Content: b.String()})
 	case "val-energy":
-		r := RunValidationEnergy(scale)
+		r := RunValidationEnergy(scale, ec)
 		var b strings.Builder
 		b.WriteString("p,L_ms,trials,measured_ratio_pct,exact_ratio_pct\n")
 		for _, row := range r.Rows {
@@ -107,13 +108,13 @@ func Render(id string, scale Scale) ([]export.File, error) {
 		var r AblationResult
 		switch id {
 		case "abl-leakage":
-			r = RunAblationLeakage(scale)
+			r = RunAblationLeakage(scale, ec)
 		case "abl-cstate":
-			r = RunAblationCState(scale)
+			r = RunAblationCState(scale, ec)
 		case "abl-hotspot":
-			r = RunAblationHotspot(scale)
+			r = RunAblationHotspot(scale, ec)
 		default:
-			r = RunAblationDeterministic(scale)
+			r = RunAblationDeterministic(scale, ec)
 		}
 		var b strings.Builder
 		b.WriteString("label,base_r,base_T,base_eff,variant_r,variant_T,variant_eff\n")
@@ -124,7 +125,7 @@ func Render(id string, scale Scale) ([]export.File, error) {
 		}
 		return collect(namedCSV{Name: fmt.Sprintf("%s.csv", strings.ReplaceAll(id, "-", "_")), Content: b.String()})
 	case "abl-kernel":
-		r := RunAblationKernelThreads(scale)
+		r := RunAblationKernelThreads(scale, ec)
 		var b strings.Builder
 		b.WriteString("label,shielded_good,shielded_r,shielded_mean_s,injected_good,injected_r,injected_mean_s,kernel_injections\n")
 		for _, p := range r.Points {
@@ -134,7 +135,7 @@ func Render(id string, scale Scale) ([]export.File, error) {
 		}
 		return collect(namedCSV{Name: "abl_kernel.csv", Content: b.String()})
 	case "ext-adaptive":
-		r := RunAdaptiveControl(scale)
+		r := RunAdaptiveControl(scale, ec)
 		var b strings.Builder
 		b.WriteString("phase,mean_dts_c,mean_p,target_err_c\n")
 		for _, p := range r.Phases {
@@ -142,7 +143,7 @@ func Render(id string, scale Scale) ([]export.File, error) {
 		}
 		return collect(namedCSV{Name: "ext_adaptive.csv", Content: b.String()})
 	case "ext-ule":
-		r := RunULEComparison(scale)
+		r := RunULEComparison(scale, ec)
 		var b strings.Builder
 		b.WriteString("label,bsd_r,bsd_T,bsd_eff,ule_r,ule_T,ule_eff,steals\n")
 		for _, p := range r.Points {
@@ -152,7 +153,7 @@ func Render(id string, scale Scale) ([]export.File, error) {
 		}
 		return collect(namedCSV{Name: "ext_ule.csv", Content: b.String()})
 	case "ext-emergency":
-		r := RunEmergencyScenario(scale)
+		r := RunEmergencyScenario(scale, ec)
 		var b strings.Builder
 		b.WriteString("strategy,peak_c,mean_c,work_rate,trips,throttled_s\n")
 		for _, a := range r.Arms {
@@ -162,7 +163,7 @@ func Render(id string, scale Scale) ([]export.File, error) {
 		}
 		return collect(namedCSV{Name: "ext_emergency.csv", Content: b.String()})
 	case "ext-smt":
-		r := RunSMTCoScheduling(scale)
+		r := RunSMTCoScheduling(scale, ec)
 		var b strings.Builder
 		b.WriteString("label,naive_r,naive_T,naive_eff,cosched_r,cosched_T,cosched_eff,gang_idles\n")
 		for _, p := range r.Points {

@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/engine"
 )
 
 // exportIDs lists every experiment with a CSV export path; kept in sync with
@@ -21,7 +23,7 @@ func TestExportWritesParseableCSVs(t *testing.T) {
 	// A fast representative subset; the remaining IDs share the same
 	// writer helpers.
 	for _, id := range []string{"fig1", "fig3", "val-energy", "ext-smt"} {
-		paths, err := Export(id, 0.05, dir)
+		paths, err := Export(id, 0.05, dir, engine.Config{})
 		if err != nil {
 			t.Fatalf("Export(%s): %v", id, err)
 		}
@@ -50,14 +52,14 @@ func TestExportWritesParseableCSVs(t *testing.T) {
 }
 
 func TestExportUnknownID(t *testing.T) {
-	if _, err := Export("nope", 0.1, t.TempDir()); err == nil {
+	if _, err := Export("nope", 0.1, t.TempDir(), engine.Config{}); err == nil {
 		t.Error("unknown ID accepted")
 	}
 }
 
 func TestExportCreatesDirectory(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "nested", "out")
-	paths, err := Export("val-energy", 0.05, dir)
+	paths, err := Export("val-energy", 0.05, dir, engine.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

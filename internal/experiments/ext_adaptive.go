@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"repro/internal/adaptive"
+	"repro/internal/engine"
 	"repro/internal/machine"
 	"repro/internal/sched"
 	"repro/internal/units"
@@ -35,9 +36,9 @@ type AdaptiveResult struct {
 // heavy load (4× cpuburn — target only reachable with injection), light load
 // (1× cpuburn — naturally below target, controller must back off), and heavy
 // again (controller must re-engage).
-func RunAdaptiveControl(scale Scale) AdaptiveResult {
+func RunAdaptiveControl(scale Scale, ec engine.Config) AdaptiveResult {
 	phaseDur := scale.seconds(200)
-	cfg := machine.DefaultConfig()
+	cfg := machineConfig(ec)
 	// Inherently sequential (one machine through three load phases), but the
 	// unread instrument chain still costs nothing.
 	cfg.Meter.Disabled = true

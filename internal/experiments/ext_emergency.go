@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/adaptive"
 	"repro/internal/dtm"
+	"repro/internal/engine"
 	"repro/internal/machine"
 	"repro/internal/runner"
 	"repro/internal/units"
@@ -36,12 +37,12 @@ type EmergencyResult struct {
 
 // RunEmergencyScenario degrades the cooling path (fan failure: 2.4× the
 // sink-to-ambient resistance) under 4× cpuburn and compares the arms.
-func RunEmergencyScenario(scale Scale) EmergencyResult {
+func RunEmergencyScenario(scale Scale, ec engine.Config) EmergencyResult {
 	duration := scale.seconds(300)
 	tm1Cfg := dtm.DefaultTM1Config()
 
 	run := func(preventive bool, seed uint64) EmergencyArm {
-		cfg := machine.DefaultConfig()
+		cfg := machineConfig(ec)
 		cfg.Meter.Disabled = true
 		cfg.Seed = seed
 		cfg.FanFactor = 2.4
@@ -89,7 +90,7 @@ func RunEmergencyScenario(scale Scale) EmergencyResult {
 	}
 
 	res := EmergencyResult{FanFactor: 2.4, Trip: tm1Cfg.Trip}
-	res.Arms = runner.Collect(
+	res.Arms = runner.Collect(ec.Jobs,
 		func() EmergencyArm { return run(false, 900) },
 		func() EmergencyArm { return run(true, 901) },
 	)

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/machine"
 	"repro/internal/runner"
 	"repro/internal/sched"
@@ -37,7 +38,7 @@ type SMTResult struct {
 // running, so the core never reaches C1E during injected quanta and the
 // trade-off collapses; co-scheduling recovers most of the non-SMT
 // efficiency.
-func RunSMTCoScheduling(scale Scale) SMTResult {
+func RunSMTCoScheduling(scale Scale, ec engine.Config) SMTResult {
 	settle := scale.seconds(200)
 	window := scale.seconds(30)
 
@@ -46,7 +47,7 @@ func RunSMTCoScheduling(scale Scale) SMTResult {
 		forced int
 	}
 	run := func(p float64, l units.Time, cosched bool, seed uint64) outcome {
-		cfg := machine.DefaultConfig()
+		cfg := machineConfig(ec)
 		cfg.Meter.Disabled = true
 		cfg.Seed = seed
 		cfg.SMTContexts = 2
@@ -122,7 +123,7 @@ func RunSMTCoScheduling(scale Scale) SMTResult {
 			smtSpec{g.p, g.l, false, seed},
 			smtSpec{g.p, g.l, true, seed + 1})
 	}
-	outs := runner.Map(specs, func(_ int, s smtSpec) outcome {
+	outs := runner.Map(ec.Jobs, specs, func(_ int, s smtSpec) outcome {
 		return run(s.p, s.l, s.cosched, s.seed)
 	})
 	base := outs[0]

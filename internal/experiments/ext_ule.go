@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"repro/internal/dtm"
+	"repro/internal/engine"
 	"repro/internal/machine"
 	"repro/internal/runner"
 	"repro/internal/units"
@@ -30,12 +31,12 @@ type ULEResult struct {
 
 // RunULEComparison measures a small p×L grid of cpuburn trade-offs under
 // both scheduler organisations.
-func RunULEComparison(scale Scale) ULEResult {
+func RunULEComparison(scale Scale, ec engine.Config) ULEResult {
 	settle := scale.seconds(200)
 	window := scale.seconds(30)
 
 	run := func(p float64, l units.Time, perCPU bool, seed uint64) (SteadyResult, int) {
-		cfg := machine.DefaultConfig()
+		cfg := machineConfig(ec)
 		cfg.Meter.Disabled = true
 		cfg.Seed = seed
 		cfg.Sched.PerCPUQueues = perCPU
@@ -93,7 +94,7 @@ func RunULEComparison(scale Scale) ULEResult {
 			uleSpec{g.p, g.l, false, seed},
 			uleSpec{g.p, g.l, true, seed + 1})
 	}
-	outs := runner.Map(specs, func(_ int, s uleSpec) uleOut {
+	outs := runner.Map(ec.Jobs, specs, func(_ int, s uleSpec) uleOut {
 		r, steals := run(s.p, s.l, s.perCPU, s.seed)
 		return uleOut{r, steals}
 	})

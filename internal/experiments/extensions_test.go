@@ -4,12 +4,14 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"repro/internal/engine"
 )
 
 func TestAdaptiveControlShape(t *testing.T) {
 	// The PI loop needs a few package time constants per phase to settle,
 	// so this runs at a larger scale than the other integration tests.
-	res := RunAdaptiveControl(0.5)
+	res := RunAdaptiveControl(0.5, engine.Config{})
 	if len(res.Phases) != 3 {
 		t.Fatalf("phases = %d", len(res.Phases))
 	}
@@ -39,7 +41,7 @@ func TestAdaptiveControlShape(t *testing.T) {
 func TestEmergencyScenarioShape(t *testing.T) {
 	// The degraded heatsink needs ~2 minutes of virtual time to reach the
 	// trip point, so this test runs at a larger scale.
-	res := RunEmergencyScenario(0.6)
+	res := RunEmergencyScenario(0.6, engine.Config{})
 	if len(res.Arms) != 2 {
 		t.Fatalf("arms = %d", len(res.Arms))
 	}
@@ -70,7 +72,7 @@ func TestEmergencyScenarioShape(t *testing.T) {
 }
 
 func TestULEComparisonShape(t *testing.T) {
-	res := RunULEComparison(itScale)
+	res := RunULEComparison(itScale, engine.Config{})
 	if len(res.Points) == 0 {
 		t.Fatal("no points")
 	}
@@ -89,7 +91,7 @@ func TestULEComparisonShape(t *testing.T) {
 }
 
 func TestSMTCoSchedulingShape(t *testing.T) {
-	res := RunSMTCoScheduling(itScale)
+	res := RunSMTCoScheduling(itScale, engine.Config{})
 	if len(res.Points) == 0 {
 		t.Fatal("no points")
 	}

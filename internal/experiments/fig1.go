@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"repro/internal/dtm"
+	"repro/internal/engine"
 	"repro/internal/machine"
 	"repro/internal/runner"
 	"repro/internal/sched"
@@ -34,13 +35,13 @@ type Figure1Result struct {
 // ~2 reference-seconds of work each, run to completion under race-to-idle and
 // under Dimetrodon with p=0.5, L=100 ms, while the clamp meter samples
 // package power at 3 kHz.
-func RunFigure1(scale Scale) Figure1Result {
+func RunFigure1(scale Scale, ec engine.Config) Figure1Result {
 	work := 2.0 * float64(scale)
 	if work < 0.5 {
 		work = 0.5
 	}
 	run := func(tech dtm.Technique, horizon units.Time) (*trace.Series, units.Watts) {
-		cfg := machine.DefaultConfig()
+		cfg := machineConfig(ec)
 		cfg.RecordPower = true
 		m := machine.New(cfg)
 		if err := tech.Apply(m); err != nil {
@@ -85,7 +86,7 @@ func RunFigure1(scale Scale) Figure1Result {
 		series *trace.Series
 		mean   units.Watts
 	}
-	arms := runner.Collect(
+	arms := runner.Collect(ec.Jobs,
 		func() armOut { s, m := run(dtm.RaceToIdle{}, horizon); return armOut{s, m} },
 		func() armOut {
 			s, m := run(dtm.Dimetrodon{P: 0.5, L: 100 * units.Millisecond}, horizon)

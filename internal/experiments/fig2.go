@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"repro/internal/dtm"
+	"repro/internal/engine"
 	"repro/internal/machine"
 	"repro/internal/runner"
 	"repro/internal/trace"
@@ -32,7 +33,7 @@ type Figure2Result struct {
 // RunFigure2 reproduces Figure 2. The paper runs five minutes of cpuburn on
 // all cores; temperatures fluctuate under the probabilistic injection and
 // plateau lower for higher p.
-func RunFigure2(scale Scale) Figure2Result {
+func RunFigure2(scale Scale, ec engine.Config) Figure2Result {
 	dur := scale.seconds(300)
 	res := Figure2Result{Duration: dur}
 	type curveOut struct {
@@ -40,7 +41,7 @@ func RunFigure2(scale Scale) Figure2Result {
 		idle  units.Celsius
 	}
 	curve := func(p float64) curveOut {
-		cfg := machine.DefaultConfig()
+		cfg := machineConfig(ec)
 		cfg.Meter.Disabled = true
 		cfg.Seed = uint64(100 + p*100)
 		m := machine.New(cfg)
@@ -72,7 +73,7 @@ func RunFigure2(scale Scale) Figure2Result {
 		return curveOut{Figure2Curve{P: p, Rise: rise, FinalRise: final}, idle}
 	}
 	ps := []float64{0, 0.25, 0.5, 0.75}
-	outs := runner.Map(ps, func(_ int, p float64) curveOut { return curve(p) })
+	outs := runner.Map(ec.Jobs, ps, func(_ int, p float64) curveOut { return curve(p) })
 	for _, o := range outs {
 		res.Curves = append(res.Curves, o.curve)
 		res.IdleTemp = o.idle // shared config: identical across curves

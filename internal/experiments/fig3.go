@@ -5,7 +5,7 @@ import (
 	"strings"
 
 	"repro/internal/dtm"
-	"repro/internal/machine"
+	"repro/internal/engine"
 	"repro/internal/units"
 )
 
@@ -35,7 +35,7 @@ func (r Figure3Result) Point(pIdx, lIdx int) Figure3Point {
 // p ∈ {.1,.25,.5,.75} across quantum lengths from 1 to 100 ms; efficiency is
 // the ratio of temperature reduction to throughput reduction. Short quanta
 // are the most efficient, with diminishing marginal benefit as L grows.
-func RunFigure3(scale Scale) Figure3Result {
+func RunFigure3(scale Scale, ec engine.Config) Figure3Result {
 	settle := scale.seconds(270)
 	window := scale.seconds(30)
 	res := Figure3Result{
@@ -47,15 +47,15 @@ func RunFigure3(scale Scale) Figure3Result {
 	spawn := SpawnBurnPerCore(1.0)
 	// Trial 0 is the unconstrained baseline; the rest are the p×L grid in
 	// row-major order with seeds derived from the grid coordinates.
-	trials := []SteadyTrial{{Cfg: machine.DefaultConfig(), Tech: dtm.RaceToIdle{}, Spawn: spawn, Settle: settle, Window: window}}
+	trials := []SteadyTrial{{Cfg: machineConfig(ec), Tech: dtm.RaceToIdle{}, Spawn: spawn, Settle: settle, Window: window}}
 	for _, p := range res.Ps {
 		for _, l := range res.Ls {
-			cfg := machine.DefaultConfig()
+			cfg := machineConfig(ec)
 			cfg.Seed = uint64(p*1000) + uint64(l/units.Millisecond)
 			trials = append(trials, SteadyTrial{Cfg: cfg, Tech: dtm.Dimetrodon{P: p, L: l}, Spawn: spawn, Settle: settle, Window: window})
 		}
 	}
-	results := RunSteadyAll(trials)
+	results := RunSteadyAll(ec.Jobs, trials)
 	base := results[0]
 	i := 1
 	for _, p := range res.Ps {

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/dtm"
+	"repro/internal/engine"
 	"repro/internal/machine"
 	"repro/internal/units"
 )
@@ -54,7 +55,7 @@ func DefaultFigure4Grid() Figure4Grid {
 
 // RunFigure4 reproduces Figure 4: exhaustive static-policy sweeps of
 // Dimetrodon, VFS and p4tcc under cpuburn.
-func RunFigure4(scale Scale) Figure4Result {
+func RunFigure4(scale Scale, ec engine.Config) Figure4Result {
 	settle := scale.seconds(270)
 	window := scale.seconds(30)
 	grid := DefaultFigure4Grid()
@@ -86,13 +87,13 @@ func RunFigure4(scale Scale) Figure4Result {
 	}
 
 	trials := make([]SteadyTrial, 0, len(specs)+1)
-	trials = append(trials, SteadyTrial{Cfg: machine.DefaultConfig(), Tech: dtm.RaceToIdle{}, Spawn: spawn, Settle: settle, Window: window})
+	trials = append(trials, SteadyTrial{Cfg: machineConfig(ec), Tech: dtm.RaceToIdle{}, Spawn: spawn, Settle: settle, Window: window})
 	for _, s := range specs {
-		cfg := machine.DefaultConfig()
+		cfg := machineConfig(ec)
 		cfg.Seed = s.seed
 		trials = append(trials, SteadyTrial{Cfg: cfg, Tech: s.tech, Spawn: spawn, Settle: settle, Window: window})
 	}
-	results := RunSteadyAll(trials)
+	results := RunSteadyAll(ec.Jobs, trials)
 	base := results[0]
 
 	var res Figure4Result

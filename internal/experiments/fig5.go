@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/machine"
 	"repro/internal/runner"
 	"repro/internal/sched"
@@ -43,7 +44,7 @@ type Figure5Result struct {
 // policy that targets only the hot process. With per-thread control the cool
 // process runs essentially uninterrupted while system temperature drops;
 // with global control it is unfairly penalised for the hot process's heat.
-func RunFigure5(scale Scale) Figure5Result {
+func RunFigure5(scale Scale, ec engine.Config) Figure5Result {
 	duration := scale.seconds(600)
 	warm := duration / 10
 
@@ -58,7 +59,7 @@ func RunFigure5(scale Scale) Figure5Result {
 		coolRate float64
 	}
 	run := func(params core.Params, perThread bool, seed uint64) outcome {
-		cfg := machine.DefaultConfig()
+		cfg := machineConfig(ec)
 		cfg.Meter.Disabled = true
 		cfg.Seed = seed
 		m := machine.New(cfg)
@@ -114,7 +115,7 @@ func RunFigure5(scale Scale) Figure5Result {
 			}
 		}
 	}
-	outs := runner.Map(specs, func(_ int, s f5Spec) outcome {
+	outs := runner.Map(ec.Jobs, specs, func(_ int, s f5Spec) outcome {
 		return run(s.params, s.perThread, s.seed)
 	})
 	base := outs[0]

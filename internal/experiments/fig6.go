@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"repro/internal/dtm"
+	"repro/internal/engine"
 	"repro/internal/machine"
 	"repro/internal/runner"
 	"repro/internal/units"
@@ -37,7 +38,7 @@ type Figure6Result struct {
 // The closed loop produces the paper's dynamics: stretching responses lowers
 // each connection's issue rate, removing work and heat — until the injected
 // idle time saturates the cores, queueing explodes, and QoS collapses.
-func RunFigure6(scale Scale) Figure6Result {
+func RunFigure6(scale Scale, ec engine.Config) Figure6Result {
 	duration := scale.seconds(240)
 	webCfg := webserver.DefaultConfig()
 	if w := duration / 6; w < webCfg.Warmup {
@@ -50,7 +51,7 @@ func RunFigure6(scale Scale) Figure6Result {
 		stats    webserver.Stats
 	}
 	run := func(tech dtm.Technique, seed uint64) outcome {
-		cfg := machine.DefaultConfig()
+		cfg := machineConfig(ec)
 		cfg.Meter.Disabled = true
 		cfg.Seed = seed
 		m := machine.New(cfg)
@@ -85,7 +86,7 @@ func RunFigure6(scale Scale) Figure6Result {
 			specs = append(specs, f6Spec{p, l, seed})
 		}
 	}
-	outs := runner.Map(specs, func(i int, s f6Spec) outcome {
+	outs := runner.Map(ec.Jobs, specs, func(i int, s f6Spec) outcome {
 		if i == 0 {
 			return run(dtm.RaceToIdle{}, s.seed)
 		}

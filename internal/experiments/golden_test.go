@@ -7,6 +7,8 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"repro/internal/engine"
 )
 
 // Golden-trace regression fixtures: the rendered output of every figure and
@@ -24,13 +26,13 @@ import (
 const goldenScale = Scale(0.05)
 
 var goldenRuns = map[string]func() string{
-	"fig1":   func() string { return RunFigure1(goldenScale).String() },
-	"fig2":   func() string { return RunFigure2(goldenScale).String() },
-	"fig3":   func() string { return RunFigure3(goldenScale).String() },
-	"fig4":   func() string { return RunFigure4(goldenScale).String() },
-	"fig5":   func() string { return RunFigure5(goldenScale).String() },
-	"fig6":   func() string { return RunFigure6(goldenScale).String() },
-	"table1": func() string { return RunTable1(goldenScale).String() },
+	"fig1":   func() string { return RunFigure1(goldenScale, engine.Config{}).String() },
+	"fig2":   func() string { return RunFigure2(goldenScale, engine.Config{}).String() },
+	"fig3":   func() string { return RunFigure3(goldenScale, engine.Config{}).String() },
+	"fig4":   func() string { return RunFigure4(goldenScale, engine.Config{}).String() },
+	"fig5":   func() string { return RunFigure5(goldenScale, engine.Config{}).String() },
+	"fig6":   func() string { return RunFigure6(goldenScale, engine.Config{}).String() },
+	"table1": func() string { return RunTable1(goldenScale, engine.Config{}).String() },
 }
 
 // checkGolden diffs got against dir/<name>.golden, rewriting the fixture

@@ -6,7 +6,7 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/dtm"
-	"repro/internal/machine"
+	"repro/internal/engine"
 	"repro/internal/units"
 	"repro/internal/workload"
 )
@@ -36,7 +36,7 @@ type Table1Result struct {
 // the reference) are run unconstrained to establish their thermal profiles,
 // then swept across idle quantum lengths and probabilities to fit each
 // workload's throughput-reduction model.
-func RunTable1(scale Scale) Table1Result {
+func RunTable1(scale Scale, ec engine.Config) Table1Result {
 	settle := scale.seconds(270)
 	window := scale.seconds(30)
 	ps := []float64{0.1, 0.25, 0.5, 0.75}
@@ -53,20 +53,20 @@ func RunTable1(scale Scale) Table1Result {
 	gridN := len(ps) * len(ls)
 	trials := make([]SteadyTrial, 0, len(specs)*(1+gridN))
 	for _, sp := range specs {
-		trials = append(trials, SteadyTrial{Cfg: machine.DefaultConfig(), Tech: dtm.RaceToIdle{}, Spawn: SpawnBurnPerCore(sp.PowerFactor), Settle: settle, Window: window})
+		trials = append(trials, SteadyTrial{Cfg: machineConfig(ec), Tech: dtm.RaceToIdle{}, Spawn: SpawnBurnPerCore(sp.PowerFactor), Settle: settle, Window: window})
 	}
 	seed := uint64(70000)
 	for _, sp := range specs {
 		for _, p := range ps {
 			for _, l := range ls {
 				seed++
-				cfg := machine.DefaultConfig()
+				cfg := machineConfig(ec)
 				cfg.Seed = seed
 				trials = append(trials, SteadyTrial{Cfg: cfg, Tech: dtm.Dimetrodon{P: p, L: l}, Spawn: SpawnBurnPerCore(sp.PowerFactor), Settle: settle, Window: window})
 			}
 		}
 	}
-	results := RunSteadyAll(trials)
+	results := RunSteadyAll(ec.Jobs, trials)
 	bases := results[:len(specs)]
 	policies := results[len(specs):]
 	burnBase := bases[0]

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/dtm"
+	"repro/internal/engine"
 	"repro/internal/machine"
 	"repro/internal/runner"
 	"repro/internal/sched"
@@ -39,7 +40,7 @@ type ThroughputValidationResult struct {
 // RunValidationThroughput reproduces §3.3's throughput validation: a finite
 // cpuburn under p ∈ {.25,.5,.75} × L ∈ {25,50,75,100} ms, many trials each,
 // compared against the analytical model.
-func RunValidationThroughput(scale Scale) ThroughputValidationResult {
+func RunValidationThroughput(scale Scale, ec engine.Config) ThroughputValidationResult {
 	work := 7.0 * float64(scale)
 	if work < 1 {
 		work = 1
@@ -64,9 +65,9 @@ func RunValidationThroughput(scale Scale) ThroughputValidationResult {
 			}
 		}
 	}
-	runtimes := runner.Map(specs, func(_ int, s vtSpec) float64 {
+	runtimes := runner.Map(ec.Jobs, specs, func(_ int, s vtSpec) float64 {
 		l := units.FromMilliseconds(s.lms)
-		cfg := machine.DefaultConfig()
+		cfg := machineConfig(ec)
 		cfg.Meter.Disabled = true
 		cfg.Seed = uint64(1000*s.p) + uint64(s.lms)*1000 + uint64(s.trial) + 7
 		m := machine.New(cfg)
@@ -148,7 +149,7 @@ type EnergyValidationResult struct {
 // cpuburn (four instances, one per core) under p ∈ {.25,.5,.75} ×
 // L ∈ {50,100} ms; Dimetrodon's consumed energy is compared to race-to-idle
 // over the same total window, five trials per configuration.
-func RunValidationEnergy(scale Scale) EnergyValidationResult {
+func RunValidationEnergy(scale Scale, ec engine.Config) EnergyValidationResult {
 	work := 7.0 * float64(scale)
 	if work < 1 {
 		work = 1
@@ -173,11 +174,11 @@ func RunValidationEnergy(scale Scale) EnergyValidationResult {
 			}
 		}
 	}
-	outs := runner.Map(specs, func(_ int, s veSpec) veOut {
+	outs := runner.Map(ec.Jobs, specs, func(_ int, s veSpec) veOut {
 		l := units.FromMilliseconds(s.lms)
 		seed := uint64(s.trial)*97 + uint64(s.lms) + uint64(s.p*1000)
-		dimE, dimTrue, window := runEnergyTrial(dtm.Dimetrodon{P: s.p, L: l}, work, seed, 0)
-		raceE, raceTrue, _ := runEnergyTrial(dtm.RaceToIdle{}, work, seed+1, window)
+		dimE, dimTrue, window := runEnergyTrial(ec, dtm.Dimetrodon{P: s.p, L: l}, work, seed, 0)
+		raceE, raceTrue, _ := runEnergyTrial(ec, dtm.RaceToIdle{}, work, seed+1, window)
 		return veOut{
 			ratio:     float64(dimE) / float64(raceE) * 100,
 			trueRatio: float64(dimTrue) / float64(raceTrue) * 100,
@@ -225,8 +226,8 @@ func mathAbs(x float64) float64 {
 // meter-measured and exact energies over the window. If window is zero the
 // run extends until completion (plus idle tail to the modelled horizon) and
 // that horizon is returned for the paired race-to-idle run.
-func runEnergyTrial(tech dtm.Technique, work float64, seed uint64, window units.Time) (units.Joules, units.Joules, units.Time) {
-	cfg := machine.DefaultConfig()
+func runEnergyTrial(ec engine.Config, tech dtm.Technique, work float64, seed uint64, window units.Time) (units.Joules, units.Joules, units.Time) {
+	cfg := machineConfig(ec)
 	cfg.Seed = seed
 	m := machine.New(cfg)
 	if err := tech.Apply(m); err != nil {

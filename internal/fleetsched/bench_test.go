@@ -3,6 +3,7 @@ package fleetsched
 import (
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/scenario"
 )
 
@@ -37,7 +38,7 @@ func BenchmarkFleetSched(b *testing.B) {
 // `dimctl sched compare` costs.
 func BenchmarkFleetSchedCompare(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := CompareByName("sched-shootout", 0.05); err != nil {
+		if _, err := CompareByName("sched-shootout", 0.05, engine.Config{}); err != nil {
 			b.Fatal(err)
 		}
 	}

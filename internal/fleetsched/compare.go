@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/engine"
 	"repro/internal/export"
 	"repro/internal/scenario"
 )
@@ -59,13 +60,14 @@ func (c *Comparison) DefaultResult() *Result {
 	return c.Results[0]
 }
 
-// CompareByName looks the scenario up in the registry and compares policies.
-func CompareByName(name string, scale float64) (*Comparison, error) {
+// CompareByName looks the scenario up in the registry and compares policies
+// under the given engine.
+func CompareByName(name string, scale float64, ec engine.Config) (*Comparison, error) {
 	spec, ok := scenario.Get(name)
 	if !ok {
 		return nil, fmt.Errorf("fleetsched: unknown scenario %q", name)
 	}
-	return Compare(spec, scale)
+	return CompareOpts(spec, scale, Options{Engine: ec}, nil)
 }
 
 // String renders the policy-comparison table: one row per policy, the
@@ -157,11 +159,12 @@ func RenderComparison(c *Comparison) ([]export.File, error) {
 }
 
 // RunByName looks the scenario up in the registry and runs it under the
-// given placement policy (empty selects the spec's default).
-func RunByName(name, policy string, scale float64) (*Result, error) {
+// given placement policy (empty selects the spec's default) under the given
+// engine.
+func RunByName(name, policy string, scale float64, ec engine.Config) (*Result, error) {
 	spec, ok := scenario.Get(name)
 	if !ok {
 		return nil, fmt.Errorf("fleetsched: unknown scenario %q", name)
 	}
-	return Run(spec, policy, scale)
+	return RunOpts(spec, policy, scale, Options{Engine: ec})
 }

@@ -3,7 +3,7 @@ package fleetsched
 import (
 	"testing"
 
-	"repro/internal/runner"
+	"repro/internal/engine"
 )
 
 // TestSchedDeterministicAcrossJobs extends the runner's central contract to
@@ -12,10 +12,8 @@ import (
 // happens at a single-threaded round barrier and machines advance between
 // barriers as deterministic functions of their own state.
 func TestSchedDeterministicAcrossJobs(t *testing.T) {
-	defer runner.SetJobs(0)
 	render := func(jobs int) string {
-		runner.SetJobs(jobs)
-		res, err := RunByName("sched-shootout", "", 0.02)
+		res, err := RunByName("sched-shootout", "", 0.02, engine.Config{Jobs: jobs})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -31,10 +29,8 @@ func TestSchedDeterministicAcrossJobs(t *testing.T) {
 // TestMigrationDeterministicAcrossJobs covers the most stateful path — the
 // evacuation loop killing and respawning threads mid-run — across jobs.
 func TestMigrationDeterministicAcrossJobs(t *testing.T) {
-	defer runner.SetJobs(0)
 	render := func(jobs int) string {
-		runner.SetJobs(jobs)
-		res, err := RunByName("hotspot-herd", "", 0.02)
+		res, err := RunByName("hotspot-herd", "", 0.02, engine.Config{Jobs: jobs})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -50,10 +46,8 @@ func TestMigrationDeterministicAcrossJobs(t *testing.T) {
 // TestComparisonDeterministicAcrossJobs pins the full policy sweep plus its
 // CSV export.
 func TestComparisonDeterministicAcrossJobs(t *testing.T) {
-	defer runner.SetJobs(0)
 	render := func(jobs int) (string, string) {
-		runner.SetJobs(jobs)
-		c, err := CompareByName("sched-shootout", 0.02)
+		c, err := CompareByName("sched-shootout", 0.02, engine.Config{Jobs: jobs})
 		if err != nil {
 			t.Fatal(err)
 		}

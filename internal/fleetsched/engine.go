@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"repro/internal/dtm"
+	"repro/internal/engine"
 	"repro/internal/machine"
 	"repro/internal/obs"
 	"repro/internal/rng"
@@ -287,6 +288,10 @@ type Options struct {
 	// read the wall clock and already-computed values, never simulation
 	// state, so traced output is byte-identical to untraced.
 	Trace *obs.Tracer
+
+	// Engine is the integrator used when the spec names none (leap when
+	// both are empty) and the worker-pool size each round fans out across.
+	Engine engine.Config
 }
 
 // RoundTelemetry is one round barrier's fleet snapshot: what the dispatcher
@@ -369,8 +374,8 @@ func RunOpts(spec *scenario.Spec, policyName string, scale float64, opts Options
 
 	spBuild := opts.Trace.Start("build", "sched", 0)
 	bt := phaseSchedBuild.Start()
-	trials := spec.Compile(scale)
-	nodes, err := runner.MapErr(trials, func(_ int, t scenario.MachineTrial) (*node, error) {
+	trials := spec.CompileFor(scale, opts.Engine.Integrator)
+	nodes, err := runner.MapErr(opts.Engine.Jobs, trials, func(_ int, t scenario.MachineTrial) (*node, error) {
 		return buildNode(t)
 	})
 	phaseSchedBuild.StopN(bt, int64(len(trials)))
@@ -502,7 +507,7 @@ func RunOpts(spec *scenario.Spec, policyName string, scale float64, opts Options
 			spRound = opts.Trace.Start(fmt.Sprintf("round-%04d", roundNo-1), "sched", 0)
 		}
 		at := phaseSchedAdvance.Start()
-		if _, err := runner.MapCtx(opts.Context, nodes, func(_ int, n *node) struct{} {
+		if _, err := runner.MapCtx(opts.Context, opts.Engine.Jobs, nodes, func(_ int, n *node) struct{} {
 			n.advance(next, units.Celsius(violC))
 			return struct{}{}
 		}); err != nil {

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/rng"
 	"repro/internal/scenario"
 	"repro/internal/units"
@@ -79,7 +80,7 @@ func TestGenJobsWindowEnvelopeConfinesArrivals(t *testing.T) {
 }
 
 func TestRunJobAccountingConsistent(t *testing.T) {
-	res, err := RunByName("sched-shootout", "", testScale)
+	res, err := RunByName("sched-shootout", "", testScale, engine.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +120,7 @@ func TestRunJobAccountingConsistent(t *testing.T) {
 }
 
 func TestRunMigrationConservesJobs(t *testing.T) {
-	res, err := RunByName("hotspot-herd", "", testScale)
+	res, err := RunByName("hotspot-herd", "", testScale, engine.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +175,7 @@ func TestRunPolicyOverrideChangesPlacement(t *testing.T) {
 func TestThermalAwarePoliciesReduceViolations(t *testing.T) {
 	// The acceptance property: on sched-shootout, coolest-first and
 	// headroom each beat random and round-robin on thermal violations.
-	c, err := CompareByName("sched-shootout", testScale)
+	c, err := CompareByName("sched-shootout", testScale, engine.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +197,7 @@ func TestThermalAwarePoliciesReduceViolations(t *testing.T) {
 }
 
 func TestRunWebserverScenarioReportsQoS(t *testing.T) {
-	res, err := RunByName("colo-spill", "", testScale)
+	res, err := RunByName("colo-spill", "", testScale, engine.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,21 +210,21 @@ func TestRunWebserverScenarioReportsQoS(t *testing.T) {
 }
 
 func TestRunRejectsUnscheduledScenario(t *testing.T) {
-	_, err := RunByName("fleet-diurnal", "", testScale)
+	_, err := RunByName("fleet-diurnal", "", testScale, engine.Config{})
 	if err == nil || !strings.Contains(err.Error(), "no scheduler block") {
 		t.Fatalf("err = %v, want scheduler-block guidance", err)
 	}
 }
 
 func TestRunUnknownPolicyError(t *testing.T) {
-	_, err := RunByName("sched-shootout", "warmest-first", testScale)
+	_, err := RunByName("sched-shootout", "warmest-first", testScale, engine.Config{})
 	if err == nil || !strings.Contains(err.Error(), "valid:") {
 		t.Fatalf("err = %v, want valid-name listing", err)
 	}
 }
 
 func TestComparisonCSVShape(t *testing.T) {
-	c, err := CompareByName("sched-shootout", 0.02)
+	c, err := CompareByName("sched-shootout", 0.02, engine.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

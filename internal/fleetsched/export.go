@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/engine"
 	"repro/internal/export"
 )
 
@@ -141,8 +142,8 @@ func RenderResult(r *Result) ([]export.File, error) {
 
 // Export runs the named scheduled scenario under its default policy and
 // writes its CSVs.
-func Export(name string, scale float64, dir string) ([]string, error) {
-	res, err := RunByName(name, "", scale)
+func Export(name string, scale float64, dir string, ec engine.Config) ([]string, error) {
+	res, err := RunByName(name, "", scale, ec)
 	if err != nil {
 		return nil, err
 	}

@@ -181,28 +181,25 @@ func TestLeapFallsBackForIntraSpanObservers(t *testing.T) {
 	}
 }
 
-// TestIntegratorOverride pins the resolution order: explicit config beats
-// the process-wide override beats the exact default.
-func TestIntegratorOverride(t *testing.T) {
-	if err := SetIntegratorOverride("warp"); err == nil {
-		t.Error("unknown override accepted")
-	}
-	if err := SetIntegratorOverride(IntegratorLeap); err != nil {
-		t.Fatal(err)
-	}
-	defer SetIntegratorOverride("")
+// TestIntegratorResolution pins the resolution order: an explicit config
+// wins, an empty one resolves to exact, and an unknown mode panics.
+func TestIntegratorResolution(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Meter.Disabled = true
+	if m := New(cfg); m.LeapActive() || m.Config().Integrator != IntegratorExact {
+		t.Errorf("empty integrator resolved to %q (leap active %v), want exact", m.Config().Integrator, m.LeapActive())
+	}
+	cfg.Integrator = IntegratorLeap
 	if m := New(cfg); !m.LeapActive() {
-		t.Error("override did not reach an empty-integrator config")
+		t.Error("explicit leap did not engage")
 	}
-	cfg.Integrator = IntegratorExact
-	if m := New(cfg); m.LeapActive() {
-		t.Error("explicit exact lost to the override")
-	}
-	if got := New(cfg).Config().Integrator; got != IntegratorExact {
-		t.Errorf("resolved integrator = %q, want exact", got)
-	}
+	cfg.Integrator = "warp"
+	defer func() {
+		if recover() == nil {
+			t.Error("unknown integrator accepted")
+		}
+	}()
+	New(cfg)
 }
 
 // TestSteadySteppingZeroAllocs is the -benchmem contract as a hard test:

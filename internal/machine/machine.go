@@ -8,7 +8,6 @@ package machine
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/cpu"
 	"repro/internal/power"
@@ -67,8 +66,7 @@ type Config struct {
 	// the chip configuration is frozen across each span — the scheduler's
 	// quiescence certificate — and replaces the k identical steps with the
 	// O(log k) repeated-squaring propagator (tolerance-mode; see DESIGN.md
-	// §10). An empty value resolves through the process-wide override
-	// (SetIntegratorOverride) and then to exact. Leap engages only when
+	// §10). An empty value resolves to exact. Leap engages only when
 	// nothing observes intra-span state: the meter chain must be disabled
 	// and per-step temperature tracing off, otherwise the machine falls
 	// back to exact stepping.
@@ -134,36 +132,6 @@ const (
 // default resolution).
 func ValidIntegrator(mode string) bool {
 	return mode == "" || mode == IntegratorExact || mode == IntegratorLeap
-}
-
-// integratorOverride is the process-wide default applied when a Config
-// leaves Integrator empty — how `dimctl -integrator` reaches every machine
-// built by the experiment harnesses without threading a parameter through
-// each of them. Guarded for the concurrent trial builders.
-var (
-	integratorMu       sync.Mutex
-	integratorOverride string
-)
-
-// SetIntegratorOverride installs the process-wide integrator default for
-// configs that leave Integrator empty; "" restores the built-in default
-// (exact). It returns an error for unknown modes.
-func SetIntegratorOverride(mode string) error {
-	if !ValidIntegrator(mode) {
-		return fmt.Errorf("machine: unknown integrator %q (want %q or %q)", mode, IntegratorExact, IntegratorLeap)
-	}
-	integratorMu.Lock()
-	integratorOverride = mode
-	integratorMu.Unlock()
-	return nil
-}
-
-// IntegratorOverride returns the current process-wide override ("" when
-// unset).
-func IntegratorOverride() string {
-	integratorMu.Lock()
-	defer integratorMu.Unlock()
-	return integratorOverride
 }
 
 // DefaultConfig returns the calibrated testbed (see DESIGN.md §5).
@@ -263,9 +231,6 @@ func New(cfg Config) *Machine {
 		// Hotspot nodes have millisecond time constants; cap the
 		// integration step accordingly.
 		cfg.ThermalStep = units.Millisecond
-	}
-	if cfg.Integrator == "" {
-		cfg.Integrator = IntegratorOverride()
 	}
 	if cfg.Integrator == "" {
 		cfg.Integrator = IntegratorExact

@@ -11,8 +11,8 @@
 // test in internal/experiments pins exactly that: -jobs 1 and -jobs 8 must
 // render the same bytes.
 //
-// The pool size defaults to GOMAXPROCS and is overridden globally via
-// SetJobs, which cmd/dimctl wires to its -jobs flag.
+// Every sweep takes its pool size as the first argument — the caller's
+// engine.Config.Jobs — and a size of 0 or less selects GOMAXPROCS.
 package runner
 
 import (
@@ -23,26 +23,6 @@ import (
 	"sync"
 	"sync/atomic"
 )
-
-// jobs holds the configured pool size; 0 selects GOMAXPROCS.
-var jobs atomic.Int64
-
-// SetJobs sets the worker-pool size used by subsequent Map calls. n <= 0
-// restores the default (GOMAXPROCS at the time of the sweep).
-func SetJobs(n int) {
-	if n < 0 {
-		n = 0
-	}
-	jobs.Store(int64(n))
-}
-
-// Jobs returns the effective worker-pool size.
-func Jobs() int {
-	if j := jobs.Load(); j > 0 {
-		return int(j)
-	}
-	return runtime.GOMAXPROCS(0)
-}
 
 // TrialPanic carries a panic out of a worker so Map can re-raise it on the
 // calling goroutine with the trial index, the original panic value, and the
@@ -71,10 +51,12 @@ func (p *TrialPanic) Error() string {
 // lowest-index error is the one returned. (Which trials run after an abort
 // depends on scheduling; on the success path, output remains byte-identical
 // at any parallelism level.) Context cancellation surfaces as ctx.Err().
-func mapCore[S, R any](ctx context.Context, specs []S, fn func(i int, spec S) (R, error)) ([]R, error) {
+func mapCore[S, R any](ctx context.Context, workers int, specs []S, fn func(i int, spec S) (R, error)) ([]R, error) {
 	n := len(specs)
 	res := make([]R, n)
-	workers := Jobs()
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	if workers > n {
 		workers = n
 	}
@@ -169,7 +151,7 @@ func mapCore[S, R any](ctx context.Context, specs []S, fn func(i int, spec S) (R
 	return res, nil
 }
 
-// Map executes fn(i, specs[i]) for every spec across the worker pool and
+// Map executes fn(i, specs[i]) for every spec across a pool of jobs workers and
 // returns the results indexed exactly like specs. fn must be self-contained:
 // it may read shared immutable data (the baseline result, the grid) but must
 // derive all stochastic state from the spec itself.
@@ -177,8 +159,8 @@ func mapCore[S, R any](ctx context.Context, specs []S, fn func(i int, spec S) (R
 // If any trial panics, workers stop claiming further trials and Map re-panics
 // on the caller's goroutine after all in-flight trials have drained, raising
 // the panic of the lowest trial index that ran.
-func Map[S, R any](specs []S, fn func(i int, spec S) R) []R {
-	res, _ := mapCore(nil, specs, func(i int, s S) (R, error) {
+func Map[S, R any](jobs int, specs []S, fn func(i int, spec S) R) []R {
+	res, _ := mapCore(nil, jobs, specs, func(i int, s S) (R, error) {
 		return fn(i, s), nil
 	})
 	return res
@@ -188,8 +170,8 @@ func Map[S, R any](specs []S, fn func(i int, spec S) R) []R {
 // further trials and surfaces as a non-nil error. Trials already in flight
 // run to completion (a trial is a pure simulation with no blocking points to
 // interrupt); results of trials completed before the cancellation are filled.
-func MapCtx[S, R any](ctx context.Context, specs []S, fn func(i int, spec S) R) ([]R, error) {
-	return mapCore(ctx, specs, func(i int, s S) (R, error) {
+func MapCtx[S, R any](ctx context.Context, jobs int, specs []S, fn func(i int, spec S) R) ([]R, error) {
+	return mapCore(ctx, jobs, specs, func(i int, s S) (R, error) {
 		return fn(i, s), nil
 	})
 }
@@ -199,20 +181,20 @@ func MapCtx[S, R any](ctx context.Context, specs []S, fn func(i int, spec S) R) 
 // started are skipped — and the returned error is the lowest-index error
 // among the trials that ran (wrapped with that index). Results of completed
 // error-free trials are filled regardless.
-func MapErr[S, R any](specs []S, fn func(i int, spec S) (R, error)) ([]R, error) {
-	return mapCore(nil, specs, fn)
+func MapErr[S, R any](jobs int, specs []S, fn func(i int, spec S) (R, error)) ([]R, error) {
+	return mapCore(nil, jobs, specs, fn)
 }
 
 // MapErrCtx is MapErr under a context: a failing trial or a cancelled context
 // aborts the remaining fan-out promptly. A trial error takes precedence over
 // the cancellation error when both occur.
-func MapErrCtx[S, R any](ctx context.Context, specs []S, fn func(i int, spec S) (R, error)) ([]R, error) {
-	return mapCore(ctx, specs, fn)
+func MapErrCtx[S, R any](ctx context.Context, jobs int, specs []S, fn func(i int, spec S) (R, error)) ([]R, error) {
+	return mapCore(ctx, jobs, specs, fn)
 }
 
 // Collect runs a fixed set of heterogeneous thunks concurrently and returns
 // their results in order — sugar over Map for the "baseline plus a couple of
 // arms" shape that several harnesses have.
-func Collect[R any](thunks ...func() R) []R {
-	return Map(thunks, func(_ int, f func() R) R { return f() })
+func Collect[R any](jobs int, thunks ...func() R) []R {
+	return Map(jobs, thunks, func(_ int, f func() R) R { return f() })
 }

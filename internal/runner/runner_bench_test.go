@@ -26,10 +26,8 @@ func BenchmarkRunnerFanout(b *testing.B) {
 	}
 	for _, jobs := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("jobs=%d", jobs), func(b *testing.B) {
-			SetJobs(jobs)
-			defer SetJobs(0)
 			for i := 0; i < b.N; i++ {
-				Map(specs, busyTrial)
+				Map(jobs, specs, busyTrial)
 			}
 		})
 	}
@@ -39,10 +37,7 @@ func BenchmarkRunnerFanout(b *testing.B) {
 // trial bodies.
 func BenchmarkRunnerOverhead(b *testing.B) {
 	specs := make([]int, 1024)
-	SetJobs(8)
-	defer SetJobs(0)
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Map(specs, func(i, _ int) int { return i })
+		Map(8, specs, func(i, _ int) int { return i })
 	}
 }

@@ -4,20 +4,20 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestMapOrderAndCompleteness(t *testing.T) {
-	defer SetJobs(0)
 	specs := make([]int, 1000)
 	for i := range specs {
 		specs[i] = i * 3
 	}
 	for _, j := range []int{0, 1, 2, 7, 64} {
-		SetJobs(j)
-		got := Map(specs, func(i, s int) int { return s + i })
+		got := Map(j, specs, func(i, s int) int { return s + i })
 		for i, v := range got {
 			if want := specs[i] + i; v != want {
 				t.Fatalf("jobs=%d: res[%d] = %d, want %d", j, i, v, want)
@@ -27,20 +27,18 @@ func TestMapOrderAndCompleteness(t *testing.T) {
 }
 
 func TestMapEmpty(t *testing.T) {
-	if got := Map(nil, func(i int, s struct{}) int { return 0 }); len(got) != 0 {
+	if got := Map(0, nil, func(i int, s struct{}) int { return 0 }); len(got) != 0 {
 		t.Fatalf("empty Map returned %d results", len(got))
 	}
 }
 
 func TestMapRunsEachTrialExactlyOnce(t *testing.T) {
-	SetJobs(8)
-	defer SetJobs(0)
 	var calls [256]atomic.Int32
 	specs := make([]int, len(calls))
 	for i := range specs {
 		specs[i] = i
 	}
-	Map(specs, func(i, s int) int {
+	Map(8, specs, func(i, s int) int {
 		calls[i].Add(1)
 		return 0
 	})
@@ -52,15 +50,13 @@ func TestMapRunsEachTrialExactlyOnce(t *testing.T) {
 }
 
 func TestMapPanicSequentialWrapsToo(t *testing.T) {
-	SetJobs(1)
-	defer SetJobs(0)
 	defer func() {
 		tp, ok := recover().(*TrialPanic)
 		if !ok || tp.Index != 2 || tp.Value != "serial-boom" {
 			t.Fatalf("jobs=1 panic = %+v, want *TrialPanic for trial 2", tp)
 		}
 	}()
-	Map([]int{0, 1, 2}, func(i, s int) int {
+	Map(1, []int{0, 1, 2}, func(i, s int) int {
 		if i == 2 {
 			panic("serial-boom")
 		}
@@ -69,8 +65,6 @@ func TestMapPanicSequentialWrapsToo(t *testing.T) {
 }
 
 func TestMapPanicLowestIndexWins(t *testing.T) {
-	SetJobs(8)
-	defer SetJobs(0)
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -91,7 +85,7 @@ func TestMapPanicLowestIndexWins(t *testing.T) {
 		}
 	}()
 	specs := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
-	Map(specs, func(i, s int) int {
+	Map(8, specs, func(i, s int) int {
 		if i >= 3 {
 			panic("boom-" + string(rune('0'+i)))
 		}
@@ -100,9 +94,7 @@ func TestMapPanicLowestIndexWins(t *testing.T) {
 }
 
 func TestCollect(t *testing.T) {
-	SetJobs(4)
-	defer SetJobs(0)
-	got := Collect(
+	got := Collect(4,
 		func() string { return "a" },
 		func() string { return "b" },
 		func() string { return "c" },
@@ -112,31 +104,49 @@ func TestCollect(t *testing.T) {
 	}
 }
 
+// TestJobsDefaults pins the pool-size argument: a positive size bounds the
+// workers exactly, and 0 or a negative size selects GOMAXPROCS.
 func TestJobsDefaults(t *testing.T) {
-	SetJobs(0)
-	if Jobs() < 1 {
-		t.Fatalf("Jobs() = %d, want >= 1", Jobs())
+	for _, c := range []struct{ jobs, want int }{
+		{3, 3},
+		{0, runtime.GOMAXPROCS(0)},
+		{-5, runtime.GOMAXPROCS(0)},
+	} {
+		if got := peakWorkers(t, c.jobs, c.want); got != c.want {
+			t.Errorf("jobs=%d: %d concurrent workers, want %d", c.jobs, got, c.want)
+		}
 	}
-	SetJobs(-5)
-	if Jobs() < 1 {
-		t.Fatalf("Jobs() after negative = %d", Jobs())
-	}
-	SetJobs(3)
-	if Jobs() != 3 {
-		t.Fatalf("Jobs() = %d, want 3", Jobs())
-	}
-	SetJobs(0)
+}
+
+// peakWorkers fans 4·want trials out across a pool of jobs workers and
+// returns the most that ever ran at once. Each trial holds its worker until
+// want trials have started, so a pool of exactly want workers peaks at want,
+// a larger pool overshoots it and a smaller one stalls below it until the
+// escape deadline.
+func peakWorkers(t *testing.T, jobs, want int) int {
+	t.Helper()
+	var active, peak, started atomic.Int64
+	Map(jobs, make([]int, 4*want), func(int, int) int {
+		a := active.Add(1)
+		for p := peak.Load(); a > p && !peak.CompareAndSwap(p, a); p = peak.Load() {
+		}
+		started.Add(1)
+		for deadline := time.Now().Add(5 * time.Second); started.Load() < int64(want) && time.Now().Before(deadline); {
+			runtime.Gosched()
+		}
+		active.Add(-1)
+		return 0
+	})
+	return int(peak.Load())
 }
 
 func TestMapErrReportsFailingTrialAndKeepsCompletedResults(t *testing.T) {
-	defer SetJobs(0)
-	SetJobs(4)
 	specs := make([]int, 100)
 	for i := range specs {
 		specs[i] = i
 	}
 	var ran atomic.Int64
-	res, err := MapErr(specs, func(i int, v int) (int, error) {
+	res, err := MapErr(4, specs, func(i int, v int) (int, error) {
 		ran.Add(1)
 		if v == 17 || v == 60 {
 			return 0, fmt.Errorf("boom at %d", v)
@@ -162,11 +172,9 @@ func TestMapErrReportsFailingTrialAndKeepsCompletedResults(t *testing.T) {
 // sweeps rely on: once a trial fails, unstarted trials are skipped instead of
 // running the whole sweep. Sequential execution makes the count exact.
 func TestMapErrAbortsRemainingTrials(t *testing.T) {
-	defer SetJobs(0)
-	SetJobs(1)
 	specs := make([]int, 50)
 	var ran atomic.Int64
-	_, err := MapErr(specs, func(i int, _ int) (int, error) {
+	_, err := MapErr(1, specs, func(i int, _ int) (int, error) {
 		ran.Add(1)
 		if i == 3 {
 			return 0, fmt.Errorf("boom")
@@ -182,12 +190,10 @@ func TestMapErrAbortsRemainingTrials(t *testing.T) {
 }
 
 func TestMapErrCtxCancelledBeforeStartRunsNothing(t *testing.T) {
-	defer SetJobs(0)
-	SetJobs(4)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var ran atomic.Int64
-	_, err := MapErrCtx(ctx, make([]int, 20), func(int, int) (int, error) {
+	_, err := MapErrCtx(ctx, 4, make([]int, 20), func(int, int) (int, error) {
 		ran.Add(1)
 		return 0, nil
 	})
@@ -200,11 +206,9 @@ func TestMapErrCtxCancelledBeforeStartRunsNothing(t *testing.T) {
 }
 
 func TestMapErrCtxCancelMidSweepAbortsPromptly(t *testing.T) {
-	defer SetJobs(0)
-	SetJobs(1)
 	ctx, cancel := context.WithCancel(context.Background())
 	var ran atomic.Int64
-	res, err := MapErrCtx(ctx, make([]int, 50), func(i int, _ int) (int, error) {
+	res, err := MapErrCtx(ctx, 1, make([]int, 50), func(i int, _ int) (int, error) {
 		ran.Add(1)
 		if i == 5 {
 			cancel() // an external cancellation landing mid-sweep
@@ -224,14 +228,12 @@ func TestMapErrCtxCancelMidSweepAbortsPromptly(t *testing.T) {
 }
 
 func TestMapCtxSuccessMatchesMap(t *testing.T) {
-	defer SetJobs(0)
-	SetJobs(4)
 	specs := []int{1, 2, 3, 4, 5}
-	res, err := MapCtx(context.Background(), specs, func(_ int, v int) int { return v * v })
+	res, err := MapCtx(context.Background(), 4, specs, func(_ int, v int) int { return v * v })
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := Map(specs, func(_ int, v int) int { return v * v })
+	want := Map(4, specs, func(_ int, v int) int { return v * v })
 	for i := range want {
 		if res[i] != want[i] {
 			t.Fatalf("res = %v, want %v", res, want)
@@ -240,7 +242,7 @@ func TestMapCtxSuccessMatchesMap(t *testing.T) {
 }
 
 func TestMapErrNoError(t *testing.T) {
-	res, err := MapErr([]int{1, 2, 3}, func(_ int, v int) (int, error) { return v + 1, nil })
+	res, err := MapErr(0, []int{1, 2, 3}, func(_ int, v int) (int, error) { return v + 1, nil })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,8 +8,7 @@
 // within one compiled fleet (fan factor and ambient), one representative per
 // group runs first and publishes its built propagator ladders into a
 // fleet-shared read-locked cache (thermal.LadderCache), and the remaining
-// machines adopt the published ladders and step out of contiguous
-// structure-of-arrays scratch slabs instead of scattered allocations. A group
+// machines adopt the published ladders instead of rebuilding them. A group
 // whose representative provably never consumed randomness is simulated once
 // and replicated across seeds.
 //
@@ -26,6 +25,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/runner"
 	"repro/internal/thermal"
@@ -45,7 +45,6 @@ type groupKey struct{ fan, ambient uint64 }
 type batchGroup struct {
 	members []int
 	draws   uint64 // RNG draws the representative's dynamics consumed
-	nn      int    // the representative's thermal node count
 }
 
 // stampResult adapts a replicated result to the adopting trial's identity.
@@ -62,31 +61,22 @@ func stampResult(src MachineResult, t *MachineTrial) MachineResult {
 	return src
 }
 
-// simulate builds and measures one trial with the engine's two
-// interpositions at the Build seam: the network's mutable hot state is
-// rebound onto the caller's structure-of-arrays scratch slab (when given),
-// and the fleet-shared ladder cache is consulted by topology key — adopting
-// the published propagators on a hit, publishing this machine's built
-// ladders on a miss. It returns the result, the RNG draws the dynamics
-// consumed (the replication licence), and the thermal node count (the arena
-// stride for the rest of the group). The first traceMachineSpans machines
-// get their own trace span.
-func simulate(t MachineTrial, opts RunOptions, ladders *thermal.LadderCache, scratch []float64) (MachineResult, uint64, int, error) {
+// simulate builds and measures one trial with the engine's interposition at
+// the Build seam: the fleet-shared ladder cache is consulted by topology key
+// — adopting the published propagators on a hit, publishing this machine's
+// built ladders on a miss. It returns the result and the RNG draws the
+// dynamics consumed (the replication licence). The first traceMachineSpans
+// machines get their own trace span.
+func simulate(t MachineTrial, opts RunOptions, ladders *thermal.LadderCache) (MachineResult, uint64, error) {
 	var sp obs.Span
 	if t.Index < traceMachineSpans {
 		sp = opts.Trace.Start(fmt.Sprintf("machine-%03d", t.Index), "machine", t.Index+1)
 	}
 	m, tm1, srv, err := t.Build()
 	if err != nil {
-		return MachineResult{}, 0, 0, err
+		return MachineResult{}, 0, err
 	}
 	net := m.Net.Net
-	if scratch != nil {
-		// Bind before adoption: SetScratch marks the network dirty and the
-		// re-flatten inside AdoptShare both carves the slab and installs the
-		// share.
-		net.SetScratch(scratch)
-	}
 	key := net.TopoKey()
 	ps := ladders.Get(key)
 	if ps != nil {
@@ -95,19 +85,19 @@ func simulate(t MachineTrial, opts RunOptions, ladders *thermal.LadderCache, scr
 	draws0 := m.RNGDraws()
 	res, err := measure(m, tm1, srv, t, opts)
 	if err != nil {
-		return MachineResult{}, 0, 0, err
+		return MachineResult{}, 0, err
 	}
 	if ps == nil {
 		ladders.Put(key, net.ExportShare())
 	}
 	sp.EndArgs(map[string]any{"peak_c": res.PeakJunction})
-	return res, m.RNGDraws() - draws0, net.NumNodes(), nil
+	return res, m.RNGDraws() - draws0, nil
 }
 
 // runTrials is the fleet engine's core: group the trials, run one
 // representative per group to publish shared ladders and establish the
 // replication licence, then run the remaining members with adopted ladders
-// and arena scratch — or, when the representative consumed no randomness,
+// — or, when the representative consumed no randomness,
 // stamp its result out across the group. It returns one result per trial, in
 // trial order, and fires OnMachine once per trial.
 //
@@ -115,7 +105,7 @@ func simulate(t MachineTrial, opts RunOptions, ladders *thermal.LadderCache, scr
 // state observer must see every machine's own run, and a replicated result
 // carries neither its samples nor its final state, so replication stands
 // down when either is set. Every machine then simulates for real, still with
-// shared propagators and arena stepping. No other sharing is needed:
+// shared propagators. No other sharing is needed:
 // MachineSeed is injective in the index, so one compiled fleet never holds
 // two equal (config, seed) trials.
 func runTrials(spec *Spec, trials []MachineTrial, opts RunOptions) ([]MachineResult, error) {
@@ -149,13 +139,13 @@ func runTrials(spec *Spec, trials []MachineTrial, opts RunOptions) ([]MachineRes
 	// Representatives run before the rest of their group, so their published
 	// ladders and draw counts are available to the members.
 	ladders := thermal.NewLadderCache()
-	if _, err := runner.MapErrCtx(opts.Context, order, func(_ int, g *batchGroup) (struct{}, error) {
+	if _, err := runner.MapErrCtx(opts.Context, opts.Engine.Jobs, order, func(_ int, g *batchGroup) (struct{}, error) {
 		i := g.members[0]
-		r, draws, nn, err := simulate(trials[i], opts, ladders, nil)
+		r, draws, err := simulate(trials[i], opts, ladders)
 		if err != nil {
 			return struct{}{}, err
 		}
-		g.draws, g.nn = draws, nn
+		g.draws = draws
 		finish(i, r)
 		return struct{}{}, nil
 	}); err != nil {
@@ -167,13 +157,8 @@ func runTrials(spec *Spec, trials []MachineTrial, opts RunOptions) ([]MachineRes
 	// occur at the same simulated moment for every seed, so if one seed never
 	// reaches it, none does — and its result replicates across the group.
 	// Otherwise every member simulates, with the group's published ladders
-	// adopted and its mutable hot state carved from one contiguous
-	// structure-of-arrays slab per group.
-	type pendingTrial struct {
-		i       int
-		scratch []float64
-	}
-	var pending []pendingTrial
+	// adopted.
+	var pending []int
 	replicated := 0
 	for _, g := range order {
 		rep, rest := g.members[0], g.members[1:]
@@ -184,18 +169,14 @@ func runTrials(spec *Spec, trials []MachineTrial, opts RunOptions) ([]MachineRes
 			replicated += len(rest)
 			continue
 		}
-		stride := thermal.ScratchLen(g.nn)
-		slab := make([]float64, stride*len(rest))
-		for k, i := range rest {
-			pending = append(pending, pendingTrial{i: i, scratch: slab[k*stride : (k+1)*stride]})
-		}
+		pending = append(pending, rest...)
 	}
-	if _, err := runner.MapErrCtx(opts.Context, pending, func(_ int, p pendingTrial) (struct{}, error) {
-		r, _, _, err := simulate(trials[p.i], opts, ladders, p.scratch)
+	if _, err := runner.MapErrCtx(opts.Context, opts.Engine.Jobs, pending, func(_ int, i int) (struct{}, error) {
+		r, _, err := simulate(trials[i], opts, ladders)
 		if err != nil {
 			return struct{}{}, err
 		}
-		finish(p.i, r)
+		finish(i, r)
 		return struct{}{}, nil
 	}); err != nil {
 		return fail(err)
@@ -205,13 +186,13 @@ func runTrials(spec *Spec, trials []MachineTrial, opts RunOptions) ([]MachineRes
 }
 
 // RunMegaByName looks the scenario up in the registry and runs it tiled out
-// to total machines.
-func RunMegaByName(name string, total int, scale float64) (*MegaResult, error) {
+// to total machines under the given engine.
+func RunMegaByName(name string, total int, scale float64, ec engine.Config) (*MegaResult, error) {
 	spec, ok := Get(name)
 	if !ok {
 		return nil, fmt.Errorf("scenario: unknown scenario %q", name)
 	}
-	return RunMega(spec, total, scale)
+	return RunMega(spec, total, scale, ec)
 }
 
 // MegaResult is a tiled mega-fleet run: the spec's compiled fleet simulated
@@ -234,7 +215,7 @@ type MegaResult struct {
 // This is how a million-machine fleet summary comes off a laptop: B
 // simulations, two O(total) float arrays for the temperature quantiles, and
 // a compensated index-ordered fold for the totals.
-func RunMega(spec *Spec, total int, scale float64) (*MegaResult, error) {
+func RunMega(spec *Spec, total int, scale float64, ec engine.Config) (*MegaResult, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
@@ -242,7 +223,7 @@ func RunMega(spec *Spec, total int, scale float64) (*MegaResult, error) {
 	if total < base {
 		return nil, fmt.Errorf("scenario %q: mega fleet of %d machines is smaller than the spec's fleet of %d", spec.Name, total, base)
 	}
-	br, err := Run(spec, scale)
+	br, err := RunOpts(spec, scale, RunOptions{Engine: ec})
 	if err != nil {
 		return nil, err
 	}

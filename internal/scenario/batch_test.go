@@ -7,9 +7,9 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/machine"
 	"repro/internal/obs"
-	"repro/internal/runner"
 )
 
 // replicatingSpec is a homogeneous, seed-insensitive fleet: identical fans
@@ -83,22 +83,20 @@ func stepArg(t *testing.T, tr *obs.Tracer, key string) int {
 // input fleet, both integrators, and both a serial and an 8-worker pool, Run,
 // the union of RunShard ranges and RunMega's tiled aggregate must be
 // byte-identical to the independent build-and-measure reference. This is the
-// contract that makes grouping, ladder sharing, arena stepping and
-// seed-invariant replication optimisations rather than a semantic fork.
+// contract that makes grouping, ladder sharing and seed-invariant
+// replication optimisations rather than a semantic fork.
 func TestBatchedMatchesPerMachine(t *testing.T) {
-	defer runner.SetJobs(runner.Jobs())
 	for _, in := range equivalenceInputs(t) {
 		for _, integ := range []string{"exact", "leap"} {
 			spec := in.spec.Clone()
 			spec.Machine.Integrator = integ
-			runner.SetJobs(1)
 			want := runReference(t, spec, in.scale)
 			n := len(want.Machines)
 			for _, jobs := range []int{1, 8} {
 				t.Run(fmt.Sprintf("%s/%s/jobs%d", in.name, integ, jobs), func(t *testing.T) {
-					runner.SetJobs(jobs)
+					ec := engine.Config{Jobs: jobs}
 					tr := obs.NewTracer()
-					got, err := RunOpts(spec, in.scale, RunOptions{Trace: tr})
+					got, err := RunOpts(spec, in.scale, RunOptions{Trace: tr, Engine: ec})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -121,7 +119,7 @@ func TestBatchedMatchesPerMachine(t *testing.T) {
 						if r[0] == r[1] {
 							continue
 						}
-						part, err := RunShard(spec, in.scale, r[0], r[1], nil, RunOptions{})
+						part, err := RunShard(spec, in.scale, r[0], r[1], nil, RunOptions{Engine: ec})
 						if err != nil {
 							t.Fatalf("shard [%d,%d): %v", r[0], r[1], err)
 						}
@@ -132,7 +130,7 @@ func TestBatchedMatchesPerMachine(t *testing.T) {
 					}
 
 					total := 2*n + 1
-					mega, err := RunMega(spec, total, in.scale)
+					mega, err := RunMega(spec, total, in.scale, ec)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -169,7 +167,7 @@ func TestBatchedSchedulerRejected(t *testing.T) {
 		ViolationC: 47,
 	}
 	_, errDirect := Run(spec, goldenScale)
-	_, errMega := RunMega(spec, 10_000, goldenScale)
+	_, errMega := RunMega(spec, 10_000, goldenScale, engine.Config{})
 	if errDirect == nil || errMega == nil {
 		t.Fatalf("scheduler spec must be rejected on every path: direct=%v mega=%v", errDirect, errMega)
 	}
@@ -191,7 +189,7 @@ func TestRunMegaTilesExactly(t *testing.T) {
 		t.Fatal("multi-tenant missing from the library")
 	}
 	const total = 1000
-	mega, err := RunMega(spec, total, goldenScale)
+	mega, err := RunMega(spec, total, goldenScale, engine.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +212,7 @@ func TestRunMegaTilesExactly(t *testing.T) {
 	if s := mega.String(); !strings.Contains(s, "mega fleet of 1000 machines (16 distinct simulated)") {
 		t.Errorf("mega summary missing the tiling line:\n%s", s)
 	}
-	if _, err := RunMega(spec, base-1, goldenScale); err == nil {
+	if _, err := RunMega(spec, base-1, goldenScale, engine.Config{}); err == nil {
 		t.Error("RunMega must reject totals below the compiled fleet size")
 	}
 }

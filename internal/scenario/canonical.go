@@ -25,10 +25,10 @@ import (
 // explicit: the violation threshold, the DTM policy kind, fan factor,
 // ambient, core/SMT topology, per-component thread counts, power factors and
 // arrival patterns, webserver sizing, and the scheduler block's policy and
-// round length. Fields whose resolution depends on process-wide state (the
-// -integrator override) are left as declared; callers that cache across
-// integrator settings must fold the effective mode into their key
-// separately, as the service daemon does.
+// round length. Fields whose resolution depends on the caller's engine (the
+// integrator) are left as declared; callers that cache across integrator
+// settings must fold the engine's integrator into their key separately, as
+// the service daemon does.
 func (s *Spec) Normalize() *Spec {
 	c := s.Clone()
 	def := machine.DefaultConfig()

@@ -25,6 +25,8 @@ type MachineTrial struct {
 	// AmbientC is this machine's resolved ambient (aisle position applied);
 	// 0 keeps the testbed default.
 	AmbientC float64
+	// Integrator is the machine's resolved thermal integrator.
+	Integrator string
 
 	Duration units.Time
 	Warmup   units.Time
@@ -63,9 +65,21 @@ func scaleSeconds(scale, d float64) units.Time {
 // directly comparable with unscheduled scenario runs.
 const MetricTick = 100 * units.Millisecond
 
-// Compile resolves the spec into the fleet's trial list at the given scale.
-// The spec must have been validated.
-func (s *Spec) Compile(scale float64) []MachineTrial {
+// Compile resolves the spec into the fleet's trial list at the given scale
+// under the default engine. The spec must have been validated.
+func (s *Spec) Compile(scale float64) []MachineTrial { return s.CompileFor(scale, "") }
+
+// CompileFor is Compile under an engine integrator. Resolution: the spec's
+// own integrator field wins, then the engine's, then leap — scenario and
+// sched runs read only tick-sampled aggregates, never intra-span state, so
+// the leap tolerance (validated against exact by the golden harness and the
+// leap-vs-exact divergence job) applies.
+func (s *Spec) CompileFor(scale float64, integrator string) []MachineTrial {
+	if s.Machine.Integrator != "" {
+		integrator = s.Machine.Integrator
+	} else if integrator == "" {
+		integrator = machine.IntegratorLeap
+	}
 	duration := scaleSeconds(scale, s.DurationS)
 	warmup := units.FromSeconds(duration.Seconds() * s.WarmupFrac)
 	trials := make([]MachineTrial, s.Fleet.Machines)
@@ -94,7 +108,7 @@ func (s *Spec) Compile(scale float64) []MachineTrial {
 			amb += s.Fleet.AmbientSpreadC * idDraws.Float64()
 		}
 		trials[i] = MachineTrial{
-			Spec: s, Index: i, Seed: seed, FanFactor: ff, AmbientC: amb,
+			Spec: s, Index: i, Seed: seed, FanFactor: ff, AmbientC: amb, Integrator: integrator,
 			Duration: duration, Warmup: warmup, Tick: MetricTick,
 		}
 	}
@@ -152,19 +166,7 @@ func (t *MachineTrial) machineConfig() machine.Config {
 	if ms.SMTContexts > 1 {
 		cfg.SMTContexts = ms.SMTContexts
 	}
-	// Integrator resolution: an explicit spec field wins, then the
-	// process-wide -integrator override, then the engine default of leap —
-	// scenario and sched runs read only tick-sampled aggregates, never
-	// intra-span state, so the leap tolerance (validated against exact by
-	// the golden harness and the leap-vs-exact divergence job) applies.
-	switch {
-	case ms.Integrator != "":
-		cfg.Integrator = ms.Integrator
-	case machine.IntegratorOverride() != "":
-		cfg.Integrator = "" // resolves through the override in machine.New
-	default:
-		cfg.Integrator = machine.IntegratorLeap
-	}
+	cfg.Integrator = t.Integrator
 	return cfg
 }
 

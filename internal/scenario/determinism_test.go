@@ -1,9 +1,11 @@
 package scenario
 
 import (
+	"sync"
 	"testing"
 
-	"repro/internal/runner"
+	"repro/internal/engine"
+	"repro/internal/machine"
 )
 
 // TestFleetDeterministicAcrossJobs extends the runner's central contract to
@@ -13,11 +15,8 @@ import (
 // Figure 3 regression test in internal/experiments, over the sharded-fleet
 // path instead of a trial sweep.
 func TestFleetDeterministicAcrossJobs(t *testing.T) {
-	defer runner.SetJobs(0)
-
 	render := func(jobs int) (string, string) {
-		runner.SetJobs(jobs)
-		res, err := RunByName("fleet-diurnal", 0.02)
+		res, err := RunByName("fleet-diurnal", 0.02, engine.Config{Jobs: jobs})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -46,19 +45,65 @@ func TestFleetDeterministicAcrossJobs(t *testing.T) {
 // TestAdaptiveFleetDeterministicAcrossJobs covers the most stateful machine
 // path — adaptive closed-loop control plus the TM1 monitor — across jobs.
 func TestAdaptiveFleetDeterministicAcrossJobs(t *testing.T) {
-	defer runner.SetJobs(0)
-
-	runner.SetJobs(1)
-	serial, err := RunByName("thermal-trojan", 0.02)
+	serial, err := RunByName("thermal-trojan", 0.02, engine.Config{Jobs: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	runner.SetJobs(6)
-	parallel, err := RunByName("thermal-trojan", 0.02)
+	parallel, err := RunByName("thermal-trojan", 0.02, engine.Config{Jobs: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if serial.String() != parallel.String() {
 		t.Fatalf("thermal-trojan output differs between -jobs 1 and -jobs 6:\n--- jobs=1 ---\n%s\n--- jobs=6 ---\n%s", serial, parallel)
+	}
+}
+
+// TestEnginesRunConcurrently pins what a caller-owned engine value buys: runs
+// under the exact and the leap integrator share one process without
+// interfering. Each concurrent run must render exactly the bytes the same
+// run renders alone.
+func TestEnginesRunConcurrently(t *testing.T) {
+	spec := mustGetT(t, "fleet-diurnal")
+	engines := []engine.Config{
+		{Integrator: machine.IntegratorExact, Jobs: 2},
+		{Integrator: machine.IntegratorLeap, Jobs: 3},
+	}
+	render := func(ec engine.Config) (string, error) {
+		res, err := RunOpts(spec, 0.02, RunOptions{Engine: ec})
+		if err != nil {
+			return "", err
+		}
+		return res.String() + flattenFiles(res), nil
+	}
+	want := make([]string, len(engines))
+	for i, ec := range engines {
+		out, err := render(ec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = out
+	}
+	if want[0] == want[1] {
+		t.Fatal("exact and leap rendered identical bytes; the test cannot tell the engines apart")
+	}
+
+	got := make([]string, 2*len(engines))
+	errs := make([]error, len(got))
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i], errs[i] = render(engines[i%len(engines)])
+		}(i)
+	}
+	wg.Wait()
+	for i := range got {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if ec := engines[i%len(engines)]; got[i] != want[i%len(engines)] {
+			t.Errorf("concurrent %s run diverged from its sequential run", ec.Integrator)
+		}
 	}
 }

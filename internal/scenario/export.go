@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/engine"
 	"repro/internal/export"
 )
 
@@ -69,9 +70,10 @@ func RenderResult(r *Result) []export.File {
 	}
 }
 
-// Export runs the named registered scenario and writes its CSVs.
-func Export(name string, scale float64, dir string) ([]string, error) {
-	res, err := RunByName(name, scale)
+// Export runs the named registered scenario under the given engine and
+// writes its CSVs.
+func Export(name string, scale float64, dir string, ec engine.Config) ([]string, error) {
+	res, err := RunByName(name, scale, ec)
 	if err != nil {
 		return nil, err
 	}

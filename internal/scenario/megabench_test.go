@@ -1,11 +1,15 @@
 package scenario
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/engine"
+)
 
 // BenchmarkMegaFleet measures the mega path against the independent
 // build-and-measure reference on the same spec. The batched side runs
 // fleet-diurnal tiled to 100k machines (24 distinct simulations with shared
-// ladders and arena stepping); the per-machine side runs the 24 machines
+// ladders); the per-machine side runs the 24 machines
 // through the reference, each building its own ladders. Both report
 // ns/machine — per fleet member summarised, the unit the mega path is built
 // to amortise. scripts/bench.sh records both in BENCH_results.json.
@@ -21,7 +25,7 @@ func BenchmarkMegaFleet(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := RunMega(spec, total, megaScale); err != nil {
+			if _, err := RunMega(spec, total, megaScale, engine.Config{}); err != nil {
 				b.Fatal(err)
 			}
 		}

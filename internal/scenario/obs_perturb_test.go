@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/machine"
 	"repro/internal/obs"
 )
@@ -17,10 +18,7 @@ import (
 // across both integrators and both fleet engines.
 func TestObservabilityNonPerturbing(t *testing.T) {
 	const scale = 0.02
-	defer func() {
-		obs.EnableProfiling(false)
-		_ = machine.SetIntegratorOverride("")
-	}()
+	defer obs.EnableProfiling(false)
 	for _, name := range Names() {
 		spec, _ := Get(name)
 		if spec.Scheduler != nil {
@@ -28,12 +26,10 @@ func TestObservabilityNonPerturbing(t *testing.T) {
 		}
 		for _, integ := range []string{machine.IntegratorExact, machine.IntegratorLeap} {
 			label := fmt.Sprintf("%s/%s", name, integ)
-			if err := machine.SetIntegratorOverride(integ); err != nil {
-				t.Fatal(err)
-			}
 
 			obs.EnableProfiling(false)
-			silent, err := RunOpts(spec, scale, RunOptions{})
+			ec := engine.Config{Integrator: integ}
+			silent, err := RunOpts(spec, scale, RunOptions{Engine: ec})
 			if err != nil {
 				t.Fatalf("%s: silent run: %v", label, err)
 			}
@@ -46,6 +42,7 @@ func TestObservabilityNonPerturbing(t *testing.T) {
 			})
 			var samples, states atomic.Int64
 			observed, err := RunOpts(spec, scale, RunOptions{
+				Engine:         ec,
 				Trace:          tr,
 				TelemetryEvery: 1,
 				OnTelemetry:    func(MachineSample) { samples.Add(1) },

@@ -7,7 +7,7 @@ import (
 )
 
 // runMachine is the reference fleet member: build the trial's machine and
-// measure it, with no shared ladders, no arena scratch and no replication.
+// measure it, with no shared ladders and no replication.
 // The engine must reproduce its bytes exactly.
 func runMachine(t MachineTrial, opts RunOptions) (MachineResult, error) {
 	m, tm1, srv, err := t.Build()
@@ -26,7 +26,7 @@ func runReference(tb testing.TB, spec *Spec, scale float64) *Result {
 		tb.Fatal(err)
 	}
 	trials := spec.Compile(scale)
-	machines, err := runner.MapErrCtx(nil, trials, func(_ int, t MachineTrial) (MachineResult, error) {
+	machines, err := runner.MapErrCtx(nil, 0, trials, func(_ int, t MachineTrial) (MachineResult, error) {
 		return runMachine(t, RunOptions{})
 	})
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/dtm"
+	"repro/internal/engine"
 	"repro/internal/machine"
 	"repro/internal/obs"
 	"repro/internal/units"
@@ -111,6 +112,9 @@ type RunOptions struct {
 	// stays byte-identical to one without. Calls arrive concurrently, like
 	// OnMachine; recovered (Completed) machines do not re-fire.
 	OnState func(index int, st machine.State)
+	// Engine is the integrator used when the spec names none (leap when
+	// both are empty) and the worker-pool size the fleet fans out across.
+	Engine engine.Config
 }
 
 // MachineSample is one in-run telemetry point from a fleet member. It is
@@ -136,7 +140,7 @@ type MachineSample struct {
 // measure drives an already-built machine through the trial's warmup and
 // measurement window and collects the per-machine result. It is the one
 // measurement loop every fleet member runs through, whether its machine
-// adopted shared propagators and arena scratch (simulate) or built its own.
+// adopted shared propagators (simulate) or built its own.
 func measure(m *machine.Machine, tm1 *dtm.TM1, srv *webserver.Server, t MachineTrial, opts RunOptions) (MachineResult, error) {
 	wt := phaseWarmup.Start()
 	m.RunFor(t.Warmup)
@@ -266,7 +270,7 @@ func RunOpts(spec *Spec, scale float64, opts RunOptions) (*Result, error) {
 		// internal/fleetsched; dimctl and the top-level API route there.
 		return nil, fmt.Errorf("scenario %q: has a scheduler block; run it through the fleetsched engine (dimctl sched run %s)", spec.Name, spec.Name)
 	}
-	trials := compile(spec, scale, opts.Trace)
+	trials := compile(spec, scale, opts)
 	machines := make([]MachineResult, len(trials))
 	recovered := make([]bool, len(trials))
 	for _, r := range opts.Completed {
@@ -301,22 +305,23 @@ func RunOpts(spec *Spec, scale float64, opts RunOptions) (*Result, error) {
 	return res, nil
 }
 
-// compile resolves a validated spec's fleet under the compile phase and
-// trace span.
-func compile(spec *Spec, scale float64, tr *obs.Tracer) []MachineTrial {
-	sp := tr.Start("compile", "scenario", 0)
+// compile resolves a validated spec's fleet under the run's engine, inside
+// the compile phase and trace span.
+func compile(spec *Spec, scale float64, opts RunOptions) []MachineTrial {
+	sp := opts.Trace.Start("compile", "scenario", 0)
 	ct := phaseCompile.Start()
-	trials := spec.Compile(scale)
+	trials := spec.CompileFor(scale, opts.Engine.Integrator)
 	phaseCompile.Stop(ct)
 	sp.EndArgs(map[string]any{"machines": len(trials)})
 	return trials
 }
 
-// RunByName looks the scenario up in the registry and runs it.
-func RunByName(name string, scale float64) (*Result, error) {
+// RunByName looks the scenario up in the registry and runs it under the
+// given engine.
+func RunByName(name string, scale float64, ec engine.Config) (*Result, error) {
 	spec, ok := Get(name)
 	if !ok {
 		return nil, fmt.Errorf("scenario: unknown scenario %q", name)
 	}
-	return Run(spec, scale)
+	return RunOpts(spec, scale, RunOptions{Engine: ec})
 }

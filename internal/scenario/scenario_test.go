@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/units"
 )
 
@@ -191,7 +192,7 @@ func TestRunSmallFleetEndToEnd(t *testing.T) {
 }
 
 func TestFlashCrowdCarriesWebStats(t *testing.T) {
-	res, err := RunByName("flash-crowd", 0.02)
+	res, err := RunByName("flash-crowd", 0.02, engine.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +232,7 @@ func TestWindowArrivalConfinesWork(t *testing.T) {
 }
 
 func TestRunUnknownScenario(t *testing.T) {
-	if _, err := RunByName("no-such-fleet", 1); err == nil {
+	if _, err := RunByName("no-such-fleet", 1, engine.Config{}); err == nil {
 		t.Error("unknown scenario ran")
 	}
 }

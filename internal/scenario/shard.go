@@ -25,7 +25,7 @@ func RunShard(spec *Spec, scale float64, from, to int, skip []int, opts RunOptio
 		// a machine-range shard would silently drop that coupling.
 		return nil, fmt.Errorf("scenario %q: scheduled fleets are machine-coupled and cannot shard", spec.Name)
 	}
-	trials := compile(spec, scale, opts.Trace)
+	trials := compile(spec, scale, opts)
 	if from < 0 || to > len(trials) || from >= to {
 		return nil, fmt.Errorf("scenario %q: shard [%d,%d) outside fleet of %d machines at scale %g",
 			spec.Name, from, to, len(trials), scale)

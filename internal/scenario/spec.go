@@ -94,9 +94,9 @@ type MachineSpec struct {
 	// Integrator pins the thermal integrator for this scenario: "exact"
 	// (byte-identical step-by-step kernel) or "leap" (the
 	// quiescence-leaping propagator, tolerance-mode). Empty defers to the
-	// process-wide -integrator override and then to the engine default of
-	// leap — scenario metrics are tick-sampled aggregates, exactly the
-	// shape the leap tolerance is calibrated for.
+	// run's engine integrator and then to the default of leap — scenario
+	// metrics are tick-sampled aggregates, exactly the shape the leap
+	// tolerance is calibrated for.
 	Integrator string `json:"integrator,omitempty"`
 }
 

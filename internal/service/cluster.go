@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/machine"
 	"repro/internal/scenario"
 )
 
@@ -166,7 +165,7 @@ func (s *Service) executeClusteredScenario(ctx context.Context, j *Job, w *resum
 				Scale:      r.scale,
 				Shard:      sh,
 				Skip:       skip,
-				Integrator: machine.IntegratorOverride(),
+				Integrator: s.cfg.Engine.Integrator,
 				Job:        j.ID,
 			}, onRes)
 			if err != nil {
@@ -179,6 +178,7 @@ func (s *Service) executeClusteredScenario(ctx context.Context, j *Job, w *resum
 		},
 		Local: func(ctx context.Context, sh cluster.Shard, skip []int, onRes func(scenario.MachineResult)) error {
 			_, err := scenario.RunShard(r.spec, r.scale, sh.From, sh.To, skip, scenario.RunOptions{
+				Engine:    s.cfg.Engine,
 				Context:   ctx,
 				OnMachine: onRes,
 			})
@@ -211,6 +211,7 @@ func (s *Service) executeClusteredScenario(ctx context.Context, j *Job, w *resum
 	all := append(append([]scenario.MachineResult(nil), recovered...), out.Results...)
 	sort.Slice(all, func(a, b int) bool { return all[a].Index < all[b].Index })
 	res, err := scenario.RunOpts(r.spec, r.scale, scenario.RunOptions{
+		Engine:    s.cfg.Engine,
 		Context:   ctx,
 		Completed: all,
 		Trace:     j.trace,

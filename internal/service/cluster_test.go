@@ -10,7 +10,9 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/engine"
 	"repro/internal/faultinject"
+	"repro/internal/machine"
 	"repro/internal/scenario"
 )
 
@@ -18,7 +20,13 @@ import (
 // shards; worker mode is just "someone else's coordinator points at you".
 func newWorkerService(t *testing.T) (*Service, *httptest.Server) {
 	t.Helper()
-	svc := New(Config{Workers: 2, DefaultScale: 1})
+	return newEngineWorker(t, engine.Config{})
+}
+
+// newEngineWorker is newWorkerService under an explicit engine.
+func newEngineWorker(t *testing.T, ec engine.Config) (*Service, *httptest.Server) {
+	t.Helper()
+	svc := New(Config{Workers: 2, DefaultScale: 1, Engine: ec})
 	srv := httptest.NewServer(svc.Handler())
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -410,6 +418,46 @@ func TestShardEndpointValidation(t *testing.T) {
 	}, func(scenario.MachineResult) {})
 	if se, ok := err.(*StatusError); !ok || se.Code != 409 {
 		t.Errorf("integrator mismatch: err %v, want HTTP 409", err)
+	}
+}
+
+// TestClusterEnginesCoexistInOneProcess pins what a per-daemon engine value
+// buys: one process holds a leap coordinator, a leap worker and an exact
+// worker. The leap pair completes a sharded job byte-identical to a
+// single-node run, and the exact worker refuses the leap coordinator's
+// shards with 409.
+func TestClusterEnginesCoexistInOneProcess(t *testing.T) {
+	leap := engine.Config{Integrator: machine.IntegratorLeap}
+	lw, ls := newEngineWorker(t, leap)
+	_, es := newEngineWorker(t, engine.Config{Integrator: machine.IntegratorExact})
+	_, c := newCoordinatorService(t, Config{Workers: 2, DefaultScale: 1, Engine: leap}, ls.URL)
+
+	raw := tinySpec("clu-leap", 6, 5)
+	wantOut, wantFiles := singleNodeReference(t, raw, 1)
+	v, err := c.Submit(Request{Spec: raw})
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	fin, err := c.Wait(context.Background(), v.ID)
+	if err != nil {
+		t.Fatalf("wait: %v", err)
+	}
+	if fin.State != StateDone || fin.Degraded {
+		t.Fatalf("leap job state %s (degraded %v, %s), want done on the leap worker", fin.State, fin.Degraded, fin.Error)
+	}
+	if lw.met.cluServed.Load() == 0 {
+		t.Error("the leap worker served no shard")
+	}
+	checkByteIdentical(t, c, v.ID, wantOut, wantFiles)
+
+	_, err = NewClient(es.URL).ShardStream(context.Background(), ShardRequest{
+		Spec:       raw,
+		Scale:      1,
+		Shard:      cluster.Shard{ID: 0, From: 0, To: 2},
+		Integrator: machine.IntegratorLeap,
+	}, func(scenario.MachineResult) {})
+	if se, ok := err.(*StatusError); !ok || se.Code != 409 {
+		t.Errorf("leap shard on the exact worker: err %v, want HTTP 409", err)
 	}
 }
 

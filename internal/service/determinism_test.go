@@ -16,6 +16,7 @@ import (
 	"time"
 
 	dimetrodon "repro"
+	"repro/internal/engine"
 	"repro/internal/fleetsched"
 	"repro/internal/scenario"
 	"repro/internal/service"
@@ -82,12 +83,12 @@ func TestDaemonScenarioByteIdenticalToCLI(t *testing.T) {
 	const name = "fleet-diurnal"
 	c := newDaemon(t)
 
-	res, err := scenario.RunByName(name, goldenScale)
+	res, err := scenario.RunByName(name, goldenScale, engine.Config{})
 	if err != nil {
 		t.Fatalf("local run: %v", err)
 	}
 	dir := t.TempDir()
-	if _, err := scenario.Export(name, goldenScale, dir); err != nil {
+	if _, err := scenario.Export(name, goldenScale, dir, engine.Config{}); err != nil {
 		t.Fatalf("local export: %v", err)
 	}
 	paths, _ := filepath.Glob(filepath.Join(dir, "*"))
@@ -107,12 +108,12 @@ func TestDaemonSchedByteIdenticalToCLI(t *testing.T) {
 	const name = "sched-shootout"
 	c := newDaemon(t)
 
-	res, err := fleetsched.RunByName(name, "", goldenScale)
+	res, err := fleetsched.RunByName(name, "", goldenScale, engine.Config{})
 	if err != nil {
 		t.Fatalf("local run: %v", err)
 	}
 	dir := t.TempDir()
-	if _, err := fleetsched.Export(name, goldenScale, dir); err != nil {
+	if _, err := fleetsched.Export(name, goldenScale, dir, engine.Config{}); err != nil {
 		t.Fatalf("local export: %v", err)
 	}
 	paths, _ := filepath.Glob(filepath.Join(dir, "*"))
@@ -143,12 +144,12 @@ func TestDaemonExperimentByteIdenticalToCLI(t *testing.T) {
 	c := newDaemon(t)
 
 	src := dimetrodon.ServiceExperiments()
-	localOut, err := src.Run(id, goldenScale)
+	localOut, err := src.Run(id, goldenScale, dimetrodon.Engine{})
 	if err != nil {
 		t.Fatalf("local run: %v", err)
 	}
 	dir := t.TempDir()
-	if _, err := dimetrodon.Export(id, dimetrodon.Scale(goldenScale), dir); err != nil {
+	if _, err := dimetrodon.Export(id, dimetrodon.Scale(goldenScale), dir, dimetrodon.Engine{}); err != nil {
 		t.Fatalf("local export: %v", err)
 	}
 	paths, _ := filepath.Glob(filepath.Join(dir, "*"))

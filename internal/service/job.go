@@ -77,7 +77,7 @@ type resolved struct {
 // resolve validates the request against the catalog and computes its content
 // address. The key folds in everything that feeds the output bytes: the
 // canonical spec hash (or experiment ID), the placement policy, the scale,
-// and the process-wide integrator override.
+// and the daemon's engine integrator.
 func (s *Service) resolve(req Request) (*resolved, error) {
 	r := &resolved{kind: req.Kind, policy: req.Policy, scale: req.Scale}
 	if r.scale == 0 {
@@ -169,7 +169,7 @@ func (s *Service) resolve(req Request) (*resolved, error) {
 		ident = "spec:" + h
 	}
 	sum := sha256.Sum256(fmt.Appendf(nil, "%s|%s|%s|%g|%s",
-		r.kind, ident, r.policy, r.scale, machine.IntegratorOverride()))
+		r.kind, ident, r.policy, r.scale, s.cfg.Engine.Integrator))
 	r.key = hex.EncodeToString(sum[:])
 	return r, nil
 }

@@ -40,7 +40,7 @@ type recoveredJob struct {
 //
 // Re-resolution recomputes the content key and compares it to the journaled
 // one; a mismatch means the daemon restarted into a different world (catalog
-// edit, integrator override change) and the job fails loudly instead of
+// edit, engine integrator change) and the job fails loudly instead of
 // silently computing something else under the old name.
 func (s *Service) recoverFromJournal(rep storeReplay) {
 	byID := map[string]*recoveredJob{}

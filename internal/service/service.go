@@ -28,6 +28,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/engine"
 	"repro/internal/export"
 	"repro/internal/faultinject"
 	"repro/internal/fleetsched"
@@ -53,16 +54,16 @@ type ExperimentSource struct {
 	IDs func() []string
 	// Run executes one experiment and returns its rendered report —
 	// byte-identical to what `dimctl run` writes between its banners.
-	Run func(id string, scale float64) (string, error)
+	Run func(id string, scale float64, ec engine.Config) (string, error)
 	// Render returns the experiment's plot-ready CSV artefacts —
 	// byte-identical to `dimctl export`'s files.
-	Render func(id string, scale float64) ([]export.File, error)
+	Render func(id string, scale float64, ec engine.Config) ([]export.File, error)
 }
 
 // Config sizes the daemon. Zero fields select the documented defaults.
 type Config struct {
 	// Workers is the number of concurrent job executors; each job further
-	// parallelises across the runner pool. Default: GOMAXPROCS.
+	// parallelises across Engine.Jobs trial workers. Default: GOMAXPROCS.
 	Workers int
 	// QueueDepth bounds admitted-but-not-running jobs; a full queue
 	// rejects with ErrBusy. Default: 256.
@@ -82,6 +83,9 @@ type Config struct {
 	// Experiments enables experiment jobs; the zero value disables them
 	// (scenario and sched jobs always work).
 	Experiments ExperimentSource
+	// Engine is the integrator and trial parallelism every job runs under;
+	// the integrator is part of the content key and must match cluster-wide.
+	Engine engine.Config
 
 	// DataDir, when set, makes the daemon durable: submissions journal to an
 	// append-only WAL before they are acknowledged, completed artifacts
@@ -207,6 +211,9 @@ func New(cfg Config) *Service {
 // artifacts, and re-enqueueing interrupted jobs with their checkpoints), and
 // starts the worker pool.
 func Open(cfg Config) (*Service, error) {
+	if err := cfg.Engine.Validate(); err != nil {
+		return nil, fmt.Errorf("service: %w", err)
+	}
 	cfg = cfg.withDefaults()
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Service{
@@ -719,11 +726,11 @@ func (s *Service) execute(ctx context.Context, j *Job) (*Artifact, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		rendered, err := s.cfg.Experiments.Run(r.expID, r.scale)
+		rendered, err := s.cfg.Experiments.Run(r.expID, r.scale, s.cfg.Engine)
 		if err != nil {
 			return nil, err
 		}
-		files, err := s.cfg.Experiments.Render(r.expID, r.scale)
+		files, err := s.cfg.Experiments.Render(r.expID, r.scale, s.cfg.Engine)
 		if err != nil {
 			return nil, err
 		}
@@ -736,6 +743,7 @@ func (s *Service) execute(ctx context.Context, j *Job) (*Artifact, error) {
 		// Each finished machine is announced once it is durable; a
 		// recovered job's come back via Completed, and the rerun skips them.
 		opts := scenario.RunOptions{
+			Engine:         s.cfg.Engine,
 			Context:        ctx,
 			TelemetryEvery: s.cfg.TelemetryEvery,
 			Trace:          j.trace,
@@ -765,6 +773,7 @@ func (s *Service) execute(ctx context.Context, j *Job) (*Artifact, error) {
 
 	case KindSched:
 		fsOpts := fleetsched.Options{
+			Engine:  s.cfg.Engine,
 			Context: ctx,
 			Trace:   j.trace,
 			OnRound: func(rt fleetsched.RoundTelemetry) {
@@ -808,6 +817,7 @@ func (s *Service) execute(ctx context.Context, j *Job) (*Artifact, error) {
 
 	case KindSchedCompare:
 		c, err := fleetsched.CompareOpts(r.spec, r.scale, fleetsched.Options{
+			Engine:  s.cfg.Engine,
 			Context: ctx,
 			Trace:   j.trace,
 			OnRound: func(rt fleetsched.RoundTelemetry) {

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/export"
 )
 
@@ -234,6 +235,37 @@ func TestSchedDefaultPolicySharesCacheEntry(t *testing.T) {
 	}
 	if _, err := c.Wait(context.Background(), other.ID); err != nil {
 		t.Fatalf("wait random: %v", err)
+	}
+}
+
+// TestContentKeyFollowsEngine pins the content key as a function of the
+// request and the daemon's own engine alone: two daemons in one process with
+// different integrators address the same request differently, and each
+// integrator keeps the key earlier releases computed for it, so existing
+// durable data dirs stay warm.
+func TestContentKeyFollowsEngine(t *testing.T) {
+	want := map[string][2]string{ // integrator → keys of the two requests below
+		"":      {"3b18542cae09d217758ceb602793165d27f1d0e417fce51048fe658da24757a8", "6429286d8a9311f44341440f6e34133baf8a1fb44b63cd53855459ae01b74be1"},
+		"exact": {"38a9d0cf8c55581efa7814d87378a7907ff392e9baf0f7c9bc76f38efd083cbf", "594e9a335abe2dc4185638cdd07d2c418502e93b118d6c5678ef063ac02eb068"},
+		"leap":  {"fbc49d3bfbe1dfa8860b277e01b760dbbb49c5da94a060a793c9bb3a443127d3", "a3df5003ce2ec09a3b559994ef56f0d7962fd6c082952d1c7af98305f4a82554"},
+	}
+	reqs := []Request{{Name: "fleet-diurnal", Scale: 0.05}, {Spec: tinySpec("key-probe", 3, 2)}}
+	seen := map[string]string{}
+	for integ, keys := range want {
+		s := &Service{cfg: Config{DefaultScale: 1, Engine: engine.Config{Integrator: integ}}}
+		for i, req := range reqs {
+			r, err := s.resolve(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.key != keys[i] {
+				t.Errorf("integrator %q, request %d: key %s, want %s", integ, i, r.key, keys[i])
+			}
+			if other, dup := seen[r.key]; dup {
+				t.Errorf("integrators %q and %q share key %s", other, integ, r.key)
+			}
+			seen[r.key] = integ
+		}
 	}
 }
 
@@ -641,11 +673,11 @@ func TestExperimentJobsViaSource(t *testing.T) {
 	var runs atomic.Int64
 	src := ExperimentSource{
 		IDs: func() []string { return []string{"toy"} },
-		Run: func(id string, scale float64) (string, error) {
+		Run: func(id string, scale float64, _ engine.Config) (string, error) {
 			runs.Add(1)
 			return fmt.Sprintf("toy experiment at scale %g\n", scale), nil
 		},
-		Render: func(id string, scale float64) ([]export.File, error) {
+		Render: func(id string, scale float64, _ engine.Config) ([]export.File, error) {
 			return []export.File{{Name: "toy.csv", Content: "k,v\na,1\n"}}, nil
 		},
 	}

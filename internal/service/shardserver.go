@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/faultinject"
-	"repro/internal/machine"
 	"repro/internal/obs"
 	"repro/internal/scenario"
 )
@@ -18,9 +17,9 @@ import (
 // ShardRequest is the wire form of one shard dispatch: the full scenario spec
 // (workers hold no catalog state — every dispatch is self-contained and
 // independently reproducible), the scale, the machine range, and the indices
-// the coordinator already has. Integrator pins the process-wide integrator
-// override: a worker configured differently would compute different bytes, so
-// it must refuse rather than silently diverge.
+// the coordinator already has. Integrator pins the coordinator's engine
+// integrator: a worker configured differently would compute different bytes,
+// so it must refuse rather than silently diverge.
 type ShardRequest struct {
 	Spec       json.RawMessage `json:"spec"`
 	Scale      float64         `json:"scale"`
@@ -87,10 +86,10 @@ func (s *Service) handleShardRun(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("decoding shard request: %w", err))
 		return
 	}
-	if req.Integrator != machine.IntegratorOverride() {
+	if req.Integrator != s.cfg.Engine.Integrator {
 		writeErr(w, http.StatusConflict, fmt.Errorf(
 			"integrator mismatch: coordinator wants %q, this worker runs %q — results would diverge",
-			req.Integrator, machine.IntegratorOverride()))
+			req.Integrator, s.cfg.Engine.Integrator))
 		return
 	}
 	if !(req.Scale > 0) || req.Scale > MaxScale {
@@ -128,6 +127,7 @@ func (s *Service) handleShardRun(w http.ResponseWriter, r *http.Request) {
 		defer s.heat.drop(heatKey)
 	}
 	_, err = scenario.RunShard(spec, req.Scale, req.Shard.From, req.Shard.To, req.Skip, scenario.RunOptions{
+		Engine:         s.cfg.Engine,
 		Context:        ctx,
 		TelemetryEvery: s.cfg.TelemetryEvery,
 		OnTelemetry: func(sm scenario.MachineSample) {

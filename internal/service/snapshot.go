@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"time"
 
-	"repro/internal/machine"
 	"repro/internal/wal"
 )
 
@@ -102,7 +101,7 @@ func (s *Service) buildSnapshot(fin *journalRecord) *Snapshot {
 			Workers:        s.cfg.Workers,
 			QueueCapacity:  s.cfg.QueueDepth,
 			DefaultScale:   s.cfg.DefaultScale,
-			Integrator:     machine.IntegratorOverride(),
+			Integrator:     s.cfg.Engine.Integrator,
 			Durable:        s.cfg.DataDir != "",
 			ClusterWorkers: append([]string(nil), s.cfg.Cluster.Workers...),
 		},

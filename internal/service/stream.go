@@ -77,12 +77,11 @@ type stream struct {
 	max int
 	// ring is a circular buffer: the event with Seq s sits at ring[s%max]
 	// for start <= s < next. It grows to max and then overwrites in place.
-	ring    []Event
-	start   int
-	next    int
-	dropped int
-	closed  bool
-	notify  chan struct{}
+	ring   []Event
+	start  int
+	next   int
+	closed bool
+	notify chan struct{}
 	// onAppend, when non-nil, observes each appended event after its Seq is
 	// assigned — the flight recorder's tap. It runs under the stream lock and
 	// must be cheap and non-blocking (the recorder's ring write is).
@@ -119,7 +118,6 @@ func (st *stream) append(es ...Event) {
 		} else {
 			st.ring[e.Seq%st.max] = e
 			st.start++
-			st.dropped++
 		}
 	}
 	close(st.notify)

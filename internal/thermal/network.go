@@ -114,11 +114,6 @@ type Network struct {
 	// sharecache.go); nil outside batched fleet runs. Consulted read-only
 	// on cache misses, never mutated.
 	shared *PropShare
-	// scratch, when set via SetScratch, backs the network's mutable
-	// per-step state (temperatures and integration scratch) so a batched
-	// fleet can lay every machine's thermal state out in one contiguous
-	// structure-of-arrays slab.
-	scratch []float64
 }
 
 // NewNetwork returns an empty network.
@@ -247,28 +242,8 @@ func (n *Network) flatten() {
 			n.adjG[base+k] = n.nodes[i].conds[k]
 		}
 	}
-	// Mutable per-step state: carved out of the caller-provided arena when
-	// one is bound (batched fleets pack every machine's temperatures and
-	// scratch into one contiguous slab), freshly allocated otherwise. The
-	// arena path is semantically identical — every carved slice starts
-	// zeroed, and the current temperatures are copied across.
-	alloc := func(sz int) []float64 { return make([]float64, sz) }
-	if len(n.scratch) >= ScratchLen(nn) {
-		buf := n.scratch
-		alloc = func(sz int) []float64 {
-			s := buf[:sz:sz]
-			buf = buf[sz:]
-			for i := range s {
-				s[i] = 0
-			}
-			return s
-		}
-		temp := alloc(nn)
-		copy(temp, n.temp)
-		n.temp = temp
-	}
-	n.eq = alloc(nn)
-	n.pow = alloc(nn)
+	n.eq = make([]float64, nn)
+	n.pow = make([]float64, nn)
 	for s := range n.slots {
 		n.slots[s] = decaySlot{decay: make([]float64, nn)}
 	}
@@ -277,12 +252,12 @@ func (n *Network) flatten() {
 		n.ladders[l] = propLadder{}
 	}
 	n.leapLevel = 0
-	n.leapPow = alloc(nn)
-	n.leapPow2 = alloc(nn)
-	n.leapTemp = alloc(nn)
-	n.leapDiff = alloc(nn)
-	n.leapEvalT = alloc(nn)
-	n.leapXY = alloc(2 * nn)
+	n.leapPow = make([]float64, nn)
+	n.leapPow2 = make([]float64, nn)
+	n.leapTemp = make([]float64, nn)
+	n.leapDiff = make([]float64, nn)
+	n.leapEvalT = make([]float64, nn)
+	n.leapXY = make([]float64, 2*nn)
 	n.compA, n.compB = propLevel{}, propLevel{}
 	n.allRows = n.allRows[:0]
 	// A topology change invalidates any adopted fleet snapshot: the shared

@@ -167,25 +167,6 @@ func (n *Network) sharedLadder(bits uint64) *ladderShare {
 	return n.shared.ladders[bits]
 }
 
-// ScratchLen reports the arena length SetScratch requires for a network of
-// numNodes nodes: the temperature vector plus every per-step integration
-// scratch buffer.
-func ScratchLen(numNodes int) int { return 10 * numNodes }
-
-// SetScratch binds an externally allocated backing array for the network's
-// mutable per-step state — temperatures and integration scratch. A batched
-// fleet allocates one contiguous slab for all machines of a group and hands
-// each network its stride, so the fleet's hot state is a single
-// structure-of-arrays block instead of scattered heap allocations. The
-// buffer must be at least ScratchLen(NumNodes()) long (shorter buffers are
-// ignored) and must not be shared between networks. Binding takes effect at
-// the next flatten and is output-neutral: carved state starts zeroed and
-// current temperatures are preserved.
-func (n *Network) SetScratch(buf []float64) {
-	n.scratch = buf
-	n.dirty = true
-}
-
 // LadderCache is the fleet-shared, read-locked propagator cache: TopoKey →
 // published PropShare. Publication is first-put-wins — once a snapshot for
 // a key is live it is never replaced, so concurrent representatives racing
