@@ -69,17 +69,24 @@ const MetricTick = 100 * units.Millisecond
 // under the default engine. The spec must have been validated.
 func (s *Spec) Compile(scale float64) []MachineTrial { return s.CompileFor(scale, "") }
 
-// CompileFor is Compile under an engine integrator. Resolution: the spec's
-// own integrator field wins, then the engine's, then leap — scenario and
-// sched runs read only tick-sampled aggregates, never intra-span state, so
-// the leap tolerance (validated against exact by the golden harness and the
-// leap-vs-exact divergence job) applies.
-func (s *Spec) CompileFor(scale float64, integrator string) []MachineTrial {
-	if s.Machine.Integrator != "" {
-		integrator = s.Machine.Integrator
-	} else if integrator == "" {
-		integrator = machine.IntegratorLeap
+// Integrator returns the integrator the spec's machines run under an engine
+// integrator: the spec's own integrator field wins, then the engine's, then
+// leap — scenario and sched runs read only tick-sampled aggregates, never
+// intra-span state, so the leap tolerance (validated against exact by the
+// golden harness and the leap-vs-exact divergence job) applies.
+func (s *Spec) Integrator(engine string) string {
+	switch {
+	case s.Machine.Integrator != "":
+		return s.Machine.Integrator
+	case engine != "":
+		return engine
 	}
+	return machine.IntegratorLeap
+}
+
+// CompileFor is Compile under an engine integrator, resolved by Integrator.
+func (s *Spec) CompileFor(scale float64, integrator string) []MachineTrial {
+	integrator = s.Integrator(integrator)
 	duration := scaleSeconds(scale, s.DurationS)
 	warmup := units.FromSeconds(duration.Seconds() * s.WarmupFrac)
 	trials := make([]MachineTrial, s.Fleet.Machines)

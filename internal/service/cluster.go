@@ -122,12 +122,6 @@ func (s *Service) executeClusteredScenario(ctx context.Context, j *Job, w *resum
 	for i, m := range recovered {
 		doneIdx[i] = m.Index
 	}
-	onResult := func(m scenario.MachineResult) {
-		s.met.fleetViolation.Observe(m.ViolationS)
-		s.heat.observeResult(j.ID, m)
-		w.record(JobCheckpoint{Kind: KindScenario, Machines: []scenario.MachineResult{m}},
-			&Event{Type: "machine", Job: j.ID, Machine: machineEvent(m)})
-	}
 
 	onEvent := func(e cluster.Event) {
 		switch e.Kind {
@@ -184,7 +178,7 @@ func (s *Service) executeClusteredScenario(ctx context.Context, j *Job, w *resum
 			})
 			return err
 		},
-		OnResult: onResult,
+		OnResult: w.machine,
 		OnEvent:  onEvent,
 	})
 	spClu.EndArgs(map[string]any{
@@ -197,7 +191,7 @@ func (s *Service) executeClusteredScenario(ctx context.Context, j *Job, w *resum
 	if out.Degraded {
 		s.met.cluDegraded.Add(1)
 		j.markDegraded()
-		j.stream.append(Event{Type: "degraded", Job: j.ID, Error: fmt.Sprintf(
+		s.emit(j, Event{Type: "degraded", Job: j.ID, Error: fmt.Sprintf(
 			"%d shard(s) ran on the coordinator: no healthy worker available", out.LocalShards)})
 		s.log.Warn("job completed degraded", "job", j.ID, "local_shards", out.LocalShards)
 		s.dumpIncident("degraded", j.ID, fmt.Sprintf(

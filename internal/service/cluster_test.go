@@ -422,35 +422,43 @@ func TestShardEndpointValidation(t *testing.T) {
 }
 
 // TestClusterEnginesCoexistInOneProcess pins what a per-daemon engine value
-// buys: one process holds a leap coordinator, a leap worker and an exact
-// worker. The leap pair completes a sharded job byte-identical to a
-// single-node run, and the exact worker refuses the leap coordinator's
-// shards with 409.
+// buys: one process holds a leap coordinator, a leap worker, a default worker
+// and an exact worker. The leap coordinator completes a sharded job on the
+// leap worker, and again on the default worker (which runs scenarios leaped
+// too), byte-identical to a single-node run; the exact worker refuses the
+// leap coordinator's shards with 409.
 func TestClusterEnginesCoexistInOneProcess(t *testing.T) {
 	leap := engine.Config{Integrator: machine.IntegratorLeap}
 	lw, ls := newEngineWorker(t, leap)
+	dw, ds := newEngineWorker(t, engine.Config{})
 	_, es := newEngineWorker(t, engine.Config{Integrator: machine.IntegratorExact})
-	_, c := newCoordinatorService(t, Config{Workers: 2, DefaultScale: 1, Engine: leap}, ls.URL)
 
 	raw := tinySpec("clu-leap", 6, 5)
 	wantOut, wantFiles := singleNodeReference(t, raw, 1)
-	v, err := c.Submit(Request{Spec: raw})
-	if err != nil {
-		t.Fatalf("submit: %v", err)
+	for _, w := range []struct {
+		name string
+		svc  *Service
+		url  string
+	}{{"leap", lw, ls.URL}, {"default", dw, ds.URL}} {
+		_, c := newCoordinatorService(t, Config{Workers: 2, DefaultScale: 1, Engine: leap}, w.url)
+		v, err := c.Submit(Request{Spec: raw})
+		if err != nil {
+			t.Fatalf("submit: %v", err)
+		}
+		fin, err := c.Wait(context.Background(), v.ID)
+		if err != nil {
+			t.Fatalf("wait: %v", err)
+		}
+		if fin.State != StateDone || fin.Degraded {
+			t.Fatalf("leap job state %s (degraded %v, %s), want done on the %s worker", fin.State, fin.Degraded, fin.Error, w.name)
+		}
+		if w.svc.met.cluServed.Load() == 0 {
+			t.Errorf("the %s worker served no shard", w.name)
+		}
+		checkByteIdentical(t, c, v.ID, wantOut, wantFiles)
 	}
-	fin, err := c.Wait(context.Background(), v.ID)
-	if err != nil {
-		t.Fatalf("wait: %v", err)
-	}
-	if fin.State != StateDone || fin.Degraded {
-		t.Fatalf("leap job state %s (degraded %v, %s), want done on the leap worker", fin.State, fin.Degraded, fin.Error)
-	}
-	if lw.met.cluServed.Load() == 0 {
-		t.Error("the leap worker served no shard")
-	}
-	checkByteIdentical(t, c, v.ID, wantOut, wantFiles)
 
-	_, err = NewClient(es.URL).ShardStream(context.Background(), ShardRequest{
+	_, err := NewClient(es.URL).ShardStream(context.Background(), ShardRequest{
 		Spec:       raw,
 		Scale:      1,
 		Shard:      cluster.Shard{ID: 0, From: 0, To: 2},

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,6 +12,7 @@ import (
 
 	"repro/internal/faultinject"
 	"repro/internal/fleetsched"
+	"repro/internal/scenario"
 	"repro/internal/wal"
 )
 
@@ -203,6 +205,76 @@ func TestRecoveryRerunsInterruptedJob(t *testing.T) {
 	}
 	if j2.ID == "job-000001" {
 		t.Fatalf("job ID reused after recovery")
+	}
+}
+
+// TestRecoveryCountsEveryMachineOnce: the fleet violation histogram is a
+// fold over announced "machine" events, so a scenario job resumed with K of
+// its N machines in its resume log counts all N in the process that
+// finishes it — the K re-announced from the log and the N-K it simulates.
+func TestRecoveryCountsEveryMachineOnce(t *testing.T) {
+	const machines, resumed = 6, 4
+	spec := tinySpec("violation-resume", machines, 17)
+	req := Request{Spec: spec}
+	ref := New(Config{Workers: 1, DefaultScale: 1})
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		_ = ref.Shutdown(ctx)
+	}()
+	r, err := ref.resolve(req)
+	if err != nil {
+		t.Fatalf("resolve: %v", err)
+	}
+	res, err := scenario.RunOpts(r.spec, r.scale, scenario.RunOptions{})
+	if err != nil {
+		t.Fatalf("reference run: %v", err)
+	}
+
+	// The crashed daemon: submitted + started, and K machines durable in the
+	// job's resume log.
+	dir := t.TempDir()
+	st, _, err := openStore(dir)
+	if err != nil {
+		t.Fatalf("open store: %v", err)
+	}
+	now := time.Now()
+	for _, rec := range []journalRecord{
+		{Op: "submitted", ID: "job-000001", At: now, Key: r.key, Kind: r.kind, JobName: "violation-resume", Scale: r.scale, Spec: spec},
+		{Op: "started", ID: "job-000001", At: now},
+	} {
+		if err := st.append(rec, true); err != nil {
+			t.Fatalf("append: %v", err)
+		}
+	}
+	var recs []*JobCheckpoint
+	for _, m := range res.Machines[:resumed] {
+		recs = append(recs, &JobCheckpoint{Kind: KindScenario, Machines: []scenario.MachineResult{m}})
+	}
+	writeResume(t, st, "job-000001", recs...)
+	if err := st.close(); err != nil {
+		t.Fatalf("close store: %v", err)
+	}
+
+	svc := openDurable(t, dir, Config{Workers: 1, DefaultScale: 1})
+	j, err := svc.Job("job-000001")
+	if err != nil {
+		t.Fatalf("recovered job not tracked: %v", err)
+	}
+	if v := waitTerminal(t, j); v.State != StateDone {
+		t.Fatalf("recovered job finished %s (%s)", v.State, v.Error)
+	}
+	if got := svc.met.resumes.Load(); got != 1 {
+		t.Fatalf("resumes counter = %d, want 1", got)
+	}
+	if got := svc.met.checkpoints.Load(); got != machines-resumed {
+		t.Fatalf("dimd_checkpoints_written_total = %d, want %d: only the unresumed machines run", got, machines-resumed)
+	}
+	var b strings.Builder
+	svc.met.reg.Render(&b)
+	want := fmt.Sprintf("dimd_fleet_violation_seconds_count %d\n", machines)
+	if !strings.Contains(b.String(), want) {
+		t.Fatalf("metrics lack %q (histogram count %d)", want, svc.met.fleetViolation.Count())
 	}
 }
 
@@ -428,30 +500,22 @@ func TestRecoveryResumesSchedFromCheckpoint(t *testing.T) {
 		t.Fatalf("resolve: %v", err)
 	}
 
-	// "Crash" a durable run mid-flight: run it to completion once with
-	// cadence 1 to harvest a real checkpoint, then build a journal that says
-	// the job started but never finished, with that checkpoint on disk.
+	// "Crash" a durable run mid-flight: run the engine once with cadence 1
+	// to harvest the round-barrier checkpoints the daemon's hook records,
+	// then build a journal that says the job started but never finished,
+	// with a mid-run checkpoint on disk.
 	dir := t.TempDir()
-	harvest := openDurable(t, t.TempDir(), Config{Workers: 1, DefaultScale: 1, CheckpointEvery: 1})
-	var lastCP *JobCheckpoint
-	hj, err := harvest.Submit(req)
-	if err != nil {
-		t.Fatalf("harvest submit: %v", err)
+	var cps []fleetsched.Checkpoint
+	if _, err := fleetsched.RunOpts(r.spec, r.policy, r.scale, fleetsched.Options{
+		CheckpointEvery: 1,
+		OnCheckpoint:    func(cp fleetsched.Checkpoint) { cps = append(cps, cp) },
+	}); err != nil {
+		t.Fatalf("harvest run: %v", err)
 	}
-	// Steal the last checkpoint before terminal cleanup drops it by polling
-	// the job's resume token (what its resume log folds to) while it runs.
-	for !hj.Terminal() {
-		if cp := hj.resumeToken(); cp != nil && cp.Sched != nil {
-			lastCP = cp
-		}
-		time.Sleep(time.Millisecond)
+	if len(cps) == 0 {
+		t.Fatalf("harvest run wrote no checkpoints at cadence 1")
 	}
-	if v := hj.View(); v.State != StateDone {
-		t.Fatalf("harvest run finished %s (%s)", v.State, v.Error)
-	}
-	if lastCP == nil {
-		t.Skip("run finished before a checkpoint could be observed")
-	}
+	midCP := &JobCheckpoint{Kind: KindSched, Sched: &cps[len(cps)/2]}
 
 	st, _, err := openStore(dir)
 	if err != nil {
@@ -466,7 +530,7 @@ func TestRecoveryResumesSchedFromCheckpoint(t *testing.T) {
 			t.Fatalf("append: %v", err)
 		}
 	}
-	writeResume(t, st, "job-000001", lastCP)
+	writeResume(t, st, "job-000001", midCP)
 	if err := st.close(); err != nil {
 		t.Fatalf("close store: %v", err)
 	}

@@ -5,16 +5,14 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/fleetsched"
 	"repro/internal/obs"
-	"repro/internal/scenario"
 )
 
 // The live fleet heat-map: per-job, per-machine peak junction temperatures,
-// fed entirely from the telemetry hooks the engines already call — scenario
-// MachineSamples and fleetsched RoundTelemetry. Observability only: the heat
-// map reads values the metric-loop already computed for the stream, never the
-// thermal state itself, so serving it perturbs nothing.
+// a fold over the job's stream events — scenario telemetry samples and
+// machine completions, fleetsched round barriers. Observability only: the
+// heat map reads values the metric-loop already computed for the stream,
+// never the thermal state itself, so serving it perturbs nothing.
 //
 // Memory is bounded two ways: machine indices fold into at most heatMaxCells
 // cells per job (index mod cells — aliased for fleets past the bound, but a
@@ -123,47 +121,35 @@ func (h *heatState) record(jobID string, jh *jobHeat, peakC float64) {
 	}
 }
 
-// observeSample folds one scenario telemetry sample into the job's heat map.
-func (h *heatState) observeSample(jobID string, sm scenario.MachineSample) {
+// fold applies one job event to the map under key. A "telemetry" sample or a
+// "machine" completion lights its machine's cell; a scheduler "round" lights
+// its hottest machine's, so a scheduled job's map fills in as the hotspot
+// moves. A terminal "done" or "error" event drops the row.
+func (h *heatState) fold(key string, e Event) {
+	var (
+		index           int
+		peakC, virtualS float64
+	)
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	jh := h.job(jobID)
+	switch e.Type {
+	case "telemetry", "machine":
+		index, peakC, virtualS = e.Machine.Index, e.Machine.PeakJunctionC, e.Machine.NowS
+	case "round":
+		index, peakC, virtualS = e.Round.HottestMachine, e.Round.MaxJunctionC, e.Round.NowS
+	case "done", "error":
+		delete(h.jobs, key)
+		return
+	default:
+		return
+	}
+	jh := h.job(key)
 	jh.observes++
-	jh.observe(sm.Index, sm.PeakJunctionC, sm.NowS)
-	h.record(jobID, jh, sm.PeakJunctionC)
-}
-
-// observeResult folds one completed machine's summary into the job's heat
-// map — the coordinator's feed: shard results stream back as completions, so
-// a coordinator's own map lights up even though the telemetry ticks happened
-// on the workers.
-func (h *heatState) observeResult(jobID string, m scenario.MachineResult) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	jh := h.job(jobID)
-	jh.observes++
-	jh.observe(m.Index, m.PeakJunction, 0)
-	h.record(jobID, jh, m.PeakJunction)
-}
-
-// observeRound folds one scheduler round barrier into the job's heat map.
-// Rounds carry only the hottest machine, so a scheduled job's map fills in as
-// the hotspot moves — exactly the migration behaviour worth watching.
-func (h *heatState) observeRound(jobID string, rt fleetsched.RoundTelemetry) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	jh := h.job(jobID)
-	jh.observes++
-	jh.observe(rt.HottestMachine, rt.MaxJunctionC, rt.NowS)
-	jh.round = rt.Round
-	h.record(jobID, jh, rt.MaxJunctionC)
-}
-
-// drop removes a terminal job's heat map.
-func (h *heatState) drop(jobID string) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	delete(h.jobs, jobID)
+	jh.observe(index, peakC, virtualS)
+	if e.Round != nil {
+		jh.round = e.Round.Round
+	}
+	h.record(key, jh, peakC)
 }
 
 // snapshot renders the current frame. Jobs sort by ID so frames are stable.

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -164,14 +165,21 @@ func TestHeatEndpoint(t *testing.T) {
 	}
 }
 
-// TestHeatStateFolding unit-tests the cell folding: indices past the bound
-// alias modulo the cell count, and the hottest machine wins its cell.
+// TestHeatStateFolding unit-tests the heat fold over job events: indices
+// past the bound alias modulo the cell count, the hottest machine wins its
+// cell, a "machine" completion folds like a sample, and a terminal event
+// drops its job's row.
 func TestHeatStateFolding(t *testing.T) {
 	var h heatState
-	h.observeSample("job-1", scenario.MachineSample{Index: 0, PeakJunctionC: 50, NowS: 1})
-	h.observeSample("job-1", scenario.MachineSample{Index: 700, PeakJunctionC: 80, NowS: 2})
-	h.observeSample("job-1", scenario.MachineSample{Index: 700 % heatMaxCells, PeakJunctionC: 60, NowS: 3})
-	h.observeRound("job-0", fleetsched.RoundTelemetry{Round: 4, HottestMachine: 3, MaxJunctionC: 91, NowS: 8})
+	sample := func(index int, peakC, nowS float64) Event {
+		return Event{Type: "telemetry", Job: "job-1", Machine: &MachineEvent{Index: index, PeakJunctionC: peakC, NowS: nowS}}
+	}
+	h.fold("job-1", sample(0, 50, 1))
+	h.fold("job-1", sample(700, 80, 2))
+	h.fold("job-1", sample(700%heatMaxCells, 60, 3))
+	h.fold("job-1", Event{Type: "machine", Job: "job-1", Machine: machineEvent(scenario.MachineResult{Index: 5, PeakJunction: 70})})
+	h.fold("job-1", Event{Type: "state", Job: "job-1", State: StateRunning}) // folds nothing
+	h.fold("job-0", Event{Type: "round", Job: "job-0", Round: &fleetsched.RoundTelemetry{Round: 4, HottestMachine: 3, MaxJunctionC: 91, NowS: 8}})
 
 	f := h.snapshot()
 	if len(f.Jobs) != 2 || f.Jobs[0].Job != "job-0" || f.Jobs[1].Job != "job-1" {
@@ -184,6 +192,9 @@ func TestHeatStateFolding(t *testing.T) {
 	if j.MaxC != 80 || j.HottestMachine != 700 {
 		t.Errorf("hottest = %.0fC at m%d, want 80C at m700 (aliased cell must keep its max)", j.MaxC, j.HottestMachine)
 	}
+	if j.Cells[5] != 70 {
+		t.Errorf("cell 5 = %v, want the machine completion's 70C peak", j.Cells[5])
+	}
 	if j.VirtualS != 3 {
 		t.Errorf("virtualS = %v, want high-water 3", j.VirtualS)
 	}
@@ -192,8 +203,73 @@ func TestHeatStateFolding(t *testing.T) {
 		t.Errorf("sched row = %+v, want round 4, 91C at m3", s)
 	}
 
-	h.drop("job-1")
+	h.fold("job-1", Event{Type: "error", Job: "job-1", State: StateCanceled})
+	if f := h.snapshot(); len(f.Jobs) != 1 || f.Jobs[0].Job != "job-0" {
+		t.Errorf("terminal event left rows %+v, want only job-0", f.Jobs)
+	}
+	h.fold("job-9", Event{Type: "done", Job: "job-9", State: StateDone}) // a hit: no row to drop
 	if f := h.snapshot(); len(f.Jobs) != 1 {
-		t.Errorf("drop left %d jobs, want 1", len(f.Jobs))
+		t.Errorf("terminal event of an unmapped job changed the map: %+v", f.Jobs)
+	}
+}
+
+// TestHeatMapIsStreamFold: a running scenario job's live heat row equals the
+// fold of the job's own events, read back from its stream, into a fresh
+// heatState; the live map is read inside the job's fold just before the
+// terminal event, which then drops the row.
+func TestHeatMapIsStreamFold(t *testing.T) {
+	svc, _ := newTestService(t, Config{Workers: 1, DefaultScale: 1, TelemetryEvery: 5, MaxEvents: 1 << 14})
+	r, err := svc.resolve(resumeFleet(t, "heat-fold", 24))
+	if err != nil {
+		t.Fatalf("resolve: %v", err)
+	}
+	var live HeatFrame // guarded by the stream lock
+	j := &Job{ID: "job-heat-fold", Key: r.key, kind: r.kind, res: r}
+	j.stream = newStream(svc.cfg.MaxEvents, func(e Event) {
+		if e.terminal() {
+			live = svc.heat.snapshot()
+		}
+		svc.fold(e)
+	})
+	if _, err := svc.execute(context.Background(), j); err != nil {
+		t.Fatalf("execute: %v", err)
+	}
+	svc.emit(j, Event{Type: "done", Job: j.ID, State: StateDone})
+
+	events, _, closed, evicted := j.stream.since(0)
+	if !closed || evicted != 0 {
+		t.Fatalf("stream closed=%v evicted=%d, want closed with every event retained", closed, evicted)
+	}
+	var fresh heatState
+	var machines int
+	for _, e := range events[:len(events)-1] {
+		if e.Type == "machine" {
+			machines++
+		}
+		fresh.fold(e.Job, e)
+	}
+	if machines != 24 {
+		t.Fatalf("%d machine events, want 24", machines)
+	}
+	want, got := fresh.snapshot(), live
+	if len(want.Jobs) != 1 || len(got.Jobs) != 1 {
+		t.Fatalf("folded %d rows, live %d rows, want 1 each", len(want.Jobs), len(got.Jobs))
+	}
+	w, g := want.Jobs[0], got.Jobs[0]
+	if g.Job != j.ID || g.Machines != w.Machines || g.VirtualS != w.VirtualS || g.Round != w.Round ||
+		g.MaxC != w.MaxC || g.HottestMachine != w.HottestMachine || !slices.Equal(g.Cells, w.Cells) {
+		t.Fatalf("live row %+v, folded from the stream %+v", g, w)
+	}
+	for _, e := range events {
+		if e.Type == "machine" && g.Cells[e.Machine.Index%len(g.Cells)] < e.Machine.PeakJunctionC {
+			t.Fatalf("machine %d's completion peak %v is above its live cell", e.Machine.Index, e.Machine.PeakJunctionC)
+		}
+	}
+	if f := svc.heat.snapshot(); len(f.Jobs) != 0 {
+		t.Fatalf("the terminal event left live rows %+v", f.Jobs)
+	}
+	fresh.fold(j.ID, events[len(events)-1])
+	if f := fresh.snapshot(); len(f.Jobs) != 0 {
+		t.Fatalf("folding the terminal event left rows %+v", f.Jobs)
 	}
 }

@@ -94,7 +94,7 @@ func (s *Service) recoverFromJournal(rep storeReplay) {
 			name:   name,
 			policy: rj.rec.Policy,
 			scale:  rj.rec.Scale,
-			stream: s.newJobStream(),
+			stream: newStream(s.cfg.MaxEvents, s.fold),
 		}
 		j.submitted = rj.rec.At
 		j.started = rj.started
@@ -108,9 +108,7 @@ func (s *Service) recoverFromJournal(rep storeReplay) {
 				j.degraded = rj.degraded
 				j.artifact = art
 				s.cache.put(j.Key, art)
-				j.stream.append(Event{Type: "state", Job: id, State: StateDone})
-				j.stream.append(Event{Type: "done", Job: id, State: StateDone})
-				j.stream.closeStream()
+				s.emit(j, Event{Type: "state", Job: id, State: StateDone}, Event{Type: "done", Job: id, State: StateDone})
 				break
 			}
 			// The journal says done but the artifact is gone (lost rename,
@@ -119,8 +117,7 @@ func (s *Service) recoverFromJournal(rep storeReplay) {
 		case StateFailed, StateCanceled:
 			j.state = rj.state
 			j.err = rj.errMsg
-			j.stream.append(Event{Type: "error", Job: id, State: rj.state, Error: rj.errMsg})
-			j.stream.closeStream()
+			s.emit(j, Event{Type: "error", Job: id, State: rj.state, Error: rj.errMsg})
 		default: // queued or running at the crash
 			s.requeueRecovered(j, rj)
 		}
@@ -151,8 +148,7 @@ func (s *Service) requeueRecovered(j *Job, rj *recoveredJob) {
 		s.met.failed.Add(1)
 		s.journal(journalRecord{Op: "failed", ID: j.ID, At: j.finished, Error: msg}, true)
 		s.dropResume(j)
-		j.stream.append(Event{Type: "error", Job: j.ID, State: StateFailed, Error: msg})
-		j.stream.closeStream()
+		s.emit(j, Event{Type: "error", Job: j.ID, State: StateFailed, Error: msg})
 	}
 
 	r, err := s.resolve(Request{
@@ -192,8 +188,8 @@ func (s *Service) requeueRecovered(j *Job, rj *recoveredJob) {
 		return
 	}
 	s.met.recovered.Add(1)
-	j.stream.append(Event{Type: "state", Job: j.ID, State: StateQueued})
-	j.stream.append(Event{Type: "recovered", Job: j.ID, State: StateQueued, Resumed: j.checkpointProgress()})
+	s.emit(j, Event{Type: "state", Job: j.ID, State: StateQueued},
+		Event{Type: "recovered", Job: j.ID, State: StateQueued, Resumed: j.checkpointProgress()})
 }
 
 // checkpointProgress summarises how much of the job its resume token lets

@@ -154,8 +154,25 @@ func (w *resumeWriter) signal() {
 
 func (w *resumeWriter) announce(ev *Event) {
 	if ev != nil {
-		w.j.stream.append(*ev)
+		w.s.emit(w.j, *ev)
 	}
+}
+
+// The engine hooks every arm of execute shares: a telemetry sample or a
+// round barrier is emitted at once, and a finished machine is recorded and
+// announced once durable.
+
+func (w *resumeWriter) telemetry(sm scenario.MachineSample) {
+	w.s.emit(w.j, Event{Type: "telemetry", Job: w.j.ID, Machine: sampleEvent(sm)})
+}
+
+func (w *resumeWriter) round(rt fleetsched.RoundTelemetry) {
+	w.s.emit(w.j, Event{Type: "round", Job: w.j.ID, Round: &rt})
+}
+
+func (w *resumeWriter) machine(m scenario.MachineResult) {
+	w.record(JobCheckpoint{Kind: KindScenario, Machines: []scenario.MachineResult{m}},
+		&Event{Type: "machine", Job: w.j.ID, Machine: machineEvent(m)})
 }
 
 func (w *resumeWriter) run() {
@@ -211,7 +228,7 @@ func (w *resumeWriter) commit(batch []pendingRecord) {
 			evs = append(evs, *p.ev)
 		}
 	}
-	j.stream.append(evs...)
+	w.s.emit(j, evs...)
 }
 
 // dropResume closes and deletes j's resume log and clears its token.
@@ -230,14 +247,15 @@ func (s *Service) dropResume(j *Job) {
 }
 
 // resumeMachines returns a scenario job's recovered machines for the rerun
-// to skip, re-emitting each so a resumed stream still carries them all.
+// to skip, re-emitting each so a resumed stream, and every view folded from
+// it, still carries them all.
 func (s *Service) resumeMachines(j *Job) []scenario.MachineResult {
 	cp := j.resumeToken()
 	if cp == nil || len(cp.Machines) == 0 {
 		return nil
 	}
 	for _, m := range cp.Machines {
-		j.stream.append(Event{Type: "machine", Job: j.ID, Machine: machineEvent(m)})
+		s.emit(j, Event{Type: "machine", Job: j.ID, Machine: machineEvent(m)})
 	}
 	s.met.resumes.Add(1)
 	return cp.Machines

@@ -99,7 +99,7 @@ func TestResumeLogConcurrentWrites(t *testing.T) {
 	if err != nil {
 		t.Fatalf("resolve: %v", err)
 	}
-	fj := &Job{ID: "job-fold", Key: r.key, kind: r.kind, res: r, stream: svc.newJobStream()}
+	fj := &Job{ID: "job-fold", Key: r.key, kind: r.kind, res: r, stream: newStream(svc.cfg.MaxEvents, svc.fold)}
 	svc.openResume(fj)
 	if _, err := svc.execute(context.Background(), fj); err != nil {
 		t.Fatalf("execute: %v", err)
@@ -205,7 +205,7 @@ func resumeFleet(t *testing.T, name string, machines int) Request {
 
 // TestResumeLogAnnouncedIsDurable: a "machine" event becomes readable only
 // once that machine is in the job's resume token — the folded, fsynced value
-// the snapshot reads. The stream tap sees every event at the moment it is
+// the snapshot reads. The job's fold sees every event at the moment it is
 // appended, before any subscriber can read it; a subscriber reading
 // alongside checks the same from the outside.
 func TestResumeLogAnnouncedIsDurable(t *testing.T) {
@@ -215,7 +215,7 @@ func TestResumeLogAnnouncedIsDurable(t *testing.T) {
 	if err != nil {
 		t.Fatalf("resolve: %v", err)
 	}
-	j := &Job{ID: "job-announce", Key: r.key, kind: r.kind, res: r, stream: svc.newJobStream()}
+	j := &Job{ID: "job-announce", Key: r.key, kind: r.kind, res: r}
 	svc.openResume(j)
 	defer func() { j.resume.Close() }()
 
@@ -235,14 +235,15 @@ func TestResumeLogAnnouncedIsDurable(t *testing.T) {
 	// appended before they were durable.
 	var announced int
 	var early []int
-	j.stream.onAppend = func(e Event) {
+	j.stream = newStream(svc.cfg.MaxEvents, func(e Event) {
+		svc.fold(e)
 		if e.Type != "machine" {
 			return
 		}
 		if announced++; !durable(e) {
 			early = append(early, e.Machine.Index)
 		}
-	}
+	})
 
 	read := make(chan []int) // machine indices the subscriber saw undurable
 	go func() {
@@ -265,7 +266,7 @@ func TestResumeLogAnnouncedIsDurable(t *testing.T) {
 	if _, err := svc.execute(context.Background(), j); err != nil {
 		t.Fatalf("execute: %v", err)
 	}
-	j.stream.closeStream()
+	svc.emit(j, Event{Type: "done", Job: j.ID, State: StateDone})
 	bad := <-read
 	j.stream.mu.Lock()
 	defer j.stream.mu.Unlock()
@@ -423,7 +424,7 @@ func TestResumeLogTornWriteClaimsNothingLost(t *testing.T) {
 	if err != nil {
 		t.Fatalf("resolve: %v", err)
 	}
-	j := &Job{ID: "job-torn-write", Key: r.key, kind: r.kind, res: r, stream: svc.newJobStream()}
+	j := &Job{ID: "job-torn-write", Key: r.key, kind: r.kind, res: r, stream: newStream(svc.cfg.MaxEvents, svc.fold)}
 	svc.openResume(j)
 	if err := faultinject.Configure(faultinject.WALPartial + ":5"); err != nil {
 		t.Fatalf("arm fault: %v", err)

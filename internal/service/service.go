@@ -273,16 +273,6 @@ func Open(cfg Config) (*Service, error) {
 	return s, nil
 }
 
-// newJobStream builds a job's event stream with the flight recorder tapped
-// into every append.
-func (s *Service) newJobStream() *stream {
-	st := newStream(s.cfg.MaxEvents)
-	if s.rec != nil {
-		st.onAppend = func(e Event) { s.rec.Record("stream", e.Job, e.Type, float64(e.Seq)) }
-	}
-	return st
-}
-
 // spanSink returns the flight-recorder tap for one job's tracer: span
 // durations land in the ring as they complete.
 func (s *Service) spanSink(jobID string) obs.SpanSink {
@@ -362,13 +352,13 @@ func (s *Service) Submit(req Request) (*Job, error) {
 		policy: r.policy,
 		scale:  r.scale,
 		res:    r,
-		stream: s.newJobStream(),
+		stream: newStream(s.cfg.MaxEvents, s.fold),
 		trace:  tr,
 	}
 	j.submitted = time.Now()
-	// The flight recorder taps every span completion and stream append from
-	// here on; both feeds read values already computed for the trace/stream,
-	// so recording perturbs nothing.
+	// The flight recorder taps every span completion from here on, and the
+	// stream's fold every event; both read values already computed for the
+	// trace/stream, so recording perturbs nothing.
 	tr.SetSink(s.spanSink(j.ID))
 	if hit {
 		j.state = StateDone
@@ -376,9 +366,7 @@ func (s *Service) Submit(req Request) (*Job, error) {
 		j.started = j.submitted
 		j.finished = j.submitted
 		j.artifact = art
-		j.stream.append(Event{Type: "state", Job: j.ID, State: StateDone})
-		j.stream.append(Event{Type: "done", Job: j.ID, State: StateDone})
-		j.stream.closeStream()
+		s.emit(j, Event{Type: "state", Job: j.ID, State: StateDone}, Event{Type: "done", Job: j.ID, State: StateDone})
 		s.cache.hits.Add(1)
 		s.met.submitted.Add(1)
 		s.met.completed.Add(1)
@@ -411,7 +399,7 @@ func (s *Service) Submit(req Request) (*Job, error) {
 	// Durable ack: the submission record is fsynced before Submit returns,
 	// so an accepted job survives any crash from here on.
 	s.journal(s.submitRecord(j, req, false), true)
-	j.stream.append(Event{Type: "state", Job: j.ID, State: StateQueued})
+	s.emit(j, Event{Type: "state", Job: j.ID, State: StateQueued})
 	s.track(j)
 	s.log.Info("job submitted", "job", j.ID, "kind", j.kind, "name", j.name, "cache_hit", false)
 	return j, nil
@@ -503,8 +491,7 @@ func (s *Service) Cancel(id string) error {
 		j.mu.Unlock()
 		s.journal(journalRecord{Op: "canceled", ID: j.ID, At: time.Now(), Error: "canceled while queued"}, true)
 		s.dropResume(j)
-		j.stream.append(Event{Type: "done", Job: j.ID, State: StateCanceled})
-		j.stream.closeStream()
+		s.emit(j, Event{Type: "done", Job: j.ID, State: StateCanceled})
 		return nil
 	case StateRunning:
 		j.cancelAsked = true
@@ -594,7 +581,7 @@ func (s *Service) runJob(j *Job) {
 
 	s.met.inFlight.Add(1)
 	s.journal(journalRecord{Op: "started", ID: j.ID, At: j.started}, false)
-	j.stream.append(Event{Type: "state", Job: j.ID, State: StateRunning})
+	s.emit(j, Event{Type: "state", Job: j.ID, State: StateRunning})
 	s.openResume(j)
 	defer func() {
 		r := recover()
@@ -685,14 +672,12 @@ func (s *Service) finish(j *Job, fin *journalRecord, art *Artifact, judge func(*
 	j.mu.Unlock()
 
 	if fin.Op == StateDone {
-		j.stream.append(Event{Type: "done", Job: j.ID, State: fin.Op})
+		s.emit(j, Event{Type: "done", Job: j.ID, State: fin.Op})
 		s.log.Info("job done", "job", j.ID, "sim_seconds", art.SimSeconds)
 	} else {
-		j.stream.append(Event{Type: "error", Job: j.ID, State: fin.Op, Error: fin.Error})
+		s.emit(j, Event{Type: "error", Job: j.ID, State: fin.Op, Error: fin.Error})
 		s.log.Warn("job "+fin.Op, "job", j.ID, "error", fin.Error)
 	}
-	j.stream.closeStream()
-	s.heat.drop(j.ID)
 }
 
 // trimStack keeps a panic stack readable in an error field: the goroutine
@@ -706,9 +691,10 @@ func trimStack(stack []byte) string {
 	return strings.TrimRight(strings.Join(lines, "\n"), "\n")
 }
 
-// execute dispatches the resolved work item to the matching engine, wiring
-// the job's telemetry stream into the engine hooks — and, on durable
-// daemons, the resume log that lets a restarted daemon resume this job.
+// execute dispatches the resolved work item to the matching engine, with the
+// engine hooks emitting the job's events through its resume writer w — which,
+// on durable daemons, also keeps the resume log that lets a restarted daemon
+// resume this job.
 func (s *Service) execute(ctx context.Context, j *Job) (*Artifact, error) {
 	w := s.startResumeWriter(j)
 	defer w.stop()
@@ -748,15 +734,8 @@ func (s *Service) execute(ctx context.Context, j *Job) (*Artifact, error) {
 			TelemetryEvery: s.cfg.TelemetryEvery,
 			Trace:          j.trace,
 			Completed:      s.resumeMachines(j),
-			OnTelemetry: func(sm scenario.MachineSample) {
-				s.heat.observeSample(j.ID, sm)
-				j.stream.append(Event{Type: "telemetry", Job: j.ID, Machine: sampleEvent(sm)})
-			},
-			OnMachine: func(m scenario.MachineResult) {
-				s.met.fleetViolation.Observe(m.ViolationS)
-				w.record(JobCheckpoint{Kind: KindScenario, Machines: []scenario.MachineResult{m}},
-					&Event{Type: "machine", Job: j.ID, Machine: machineEvent(m)})
-			},
+			OnTelemetry:    w.telemetry,
+			OnMachine:      w.machine,
 			// Per-machine thermal state for the fleet snapshot, via the pure
 			// machine.Checkpoint() observer (bounded; see captureState).
 			OnState: j.captureState,
@@ -776,10 +755,7 @@ func (s *Service) execute(ctx context.Context, j *Job) (*Artifact, error) {
 			Engine:  s.cfg.Engine,
 			Context: ctx,
 			Trace:   j.trace,
-			OnRound: func(rt fleetsched.RoundTelemetry) {
-				s.heat.observeRound(j.ID, rt)
-				j.stream.append(Event{Type: "round", Job: j.ID, Round: &rt})
-			},
+			OnRound: w.round,
 		}
 		if j.resume != nil {
 			fsOpts.CheckpointEvery = s.cfg.CheckpointEvery
@@ -820,12 +796,9 @@ func (s *Service) execute(ctx context.Context, j *Job) (*Artifact, error) {
 			Engine:  s.cfg.Engine,
 			Context: ctx,
 			Trace:   j.trace,
-			OnRound: func(rt fleetsched.RoundTelemetry) {
-				s.heat.observeRound(j.ID, rt)
-				j.stream.append(Event{Type: "round", Job: j.ID, Round: &rt})
-			},
+			OnRound: w.round,
 		}, func(policy string) {
-			j.stream.append(Event{Type: "policy", Job: j.ID, Policy: policy})
+			s.emit(j, Event{Type: "policy", Job: j.ID, Policy: policy})
 		})
 		if err != nil {
 			return nil, err
@@ -848,19 +821,4 @@ func (s *Service) execute(ctx context.Context, j *Job) (*Artifact, error) {
 		}, nil
 	}
 	return nil, fmt.Errorf("unknown job kind %q", r.kind)
-}
-
-// machineEvent converts a per-machine completion summary into its stream
-// event payload.
-func machineEvent(m scenario.MachineResult) *MachineEvent {
-	return &MachineEvent{
-		Index:         m.Index,
-		MeanJunctionC: m.MeanJunction,
-		MaxJunctionC:  m.PeakJunction,
-		PeakJunctionC: m.PeakJunction,
-		BusyS:         m.BusyS,
-		InjectedIdleS: m.InjectedIdleS,
-		Injections:    m.Injections,
-		Violations:    m.Violations,
-	}
 }

@@ -720,7 +720,7 @@ func TestExperimentJobsViaSource(t *testing.T) {
 }
 
 func TestStreamRingBoundsMemory(t *testing.T) {
-	st := newStream(16)
+	st := newStream(16, nil)
 	for i := 0; i < 100; i++ {
 		st.append(Event{Type: "telemetry"})
 	}
@@ -749,9 +749,14 @@ func TestStreamRingBoundsMemory(t *testing.T) {
 			}
 		}
 	}
-	st.closeStream()
+	// The terminal event closes the stream, and events behind it in the same
+	// append are dropped with it.
+	st.append(Event{Type: "done"}, Event{Type: "telemetry"})
+	if _, next, closed, _ := st.since(0); !closed || next != 101 {
+		t.Fatalf("after the terminal event: closed=%v next=%d, want closed at 101", closed, next)
+	}
 	st.append(Event{Type: "telemetry"}) // late hook fire: must not resurrect
-	if st.Len() != 100 {
+	if st.Len() != 101 {
 		t.Fatalf("append after close changed the stream")
 	}
 }

@@ -86,12 +86,6 @@ func (s *Service) handleShardRun(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("decoding shard request: %w", err))
 		return
 	}
-	if req.Integrator != s.cfg.Engine.Integrator {
-		writeErr(w, http.StatusConflict, fmt.Errorf(
-			"integrator mismatch: coordinator wants %q, this worker runs %q — results would diverge",
-			req.Integrator, s.cfg.Engine.Integrator))
-		return
-	}
 	if !(req.Scale > 0) || req.Scale > MaxScale {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("scale %v outside (0,%v]", req.Scale, MaxScale))
 		return
@@ -99,6 +93,14 @@ func (s *Service) handleShardRun(w http.ResponseWriter, r *http.Request) {
 	spec, err := scenario.Decode(req.Spec)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
+		return
+	}
+	// Engines agree when they would run this spec under the same integrator;
+	// the raw settings may differ ("" and "leap" both run scenarios leaped).
+	if want, have := spec.Integrator(req.Integrator), spec.Integrator(s.cfg.Engine.Integrator); want != have {
+		writeErr(w, http.StatusConflict, fmt.Errorf(
+			"integrator mismatch: coordinator runs %q, this worker would run %q — results would diverge",
+			want, have))
 		return
 	}
 
@@ -116,15 +118,16 @@ func (s *Service) handleShardRun(w http.ResponseWriter, r *http.Request) {
 		cut   bool
 	)
 	// Trace context propagated on the dispatch: the worker records its own
-	// shard spans (returned on the terminal line) and mirrors telemetry into
+	// shard spans (returned on the terminal line) and folds telemetry into
 	// its local heat map under "<job>/s<shard>" so the coordinator's merged
-	// frame covers the whole sharded fleet.
+	// frame covers the whole sharded fleet. A shard has no job stream, so it
+	// folds straight into the map, and its end drops the row.
 	tr := obs.NewTracer()
 	spShard := tr.Start(fmt.Sprintf("shard-%02d", req.Shard.ID), "shard", req.Shard.ID)
 	var heatKey string
 	if req.Job != "" {
 		heatKey = fmt.Sprintf("%s/s%d", req.Job, req.Shard.ID)
-		defer s.heat.drop(heatKey)
+		defer s.heat.fold(heatKey, Event{Type: "done"})
 	}
 	_, err = scenario.RunShard(spec, req.Scale, req.Shard.From, req.Shard.To, req.Skip, scenario.RunOptions{
 		Engine:         s.cfg.Engine,
@@ -132,7 +135,7 @@ func (s *Service) handleShardRun(w http.ResponseWriter, r *http.Request) {
 		TelemetryEvery: s.cfg.TelemetryEvery,
 		OnTelemetry: func(sm scenario.MachineSample) {
 			if heatKey != "" {
-				s.heat.observeSample(heatKey, sm)
+				s.heat.fold(heatKey, Event{Type: "telemetry", Machine: sampleEvent(sm)})
 			}
 		},
 		OnMachine: func(m scenario.MachineResult) {

@@ -51,6 +51,11 @@ type MachineEvent struct {
 	BusyS         float64 `json:"busy_s,omitempty"`
 	InjectedIdleS float64 `json:"injected_idle_s,omitempty"`
 	Violations    int     `json:"violations,omitempty"`
+
+	// violationS is a "machine" event's violation seconds, which the fleet
+	// violation histogram folds. It is not serialised: machine events keep
+	// their wire form.
+	violationS float64
 }
 
 // sampleEvent converts an engine telemetry sample into a stream event
@@ -65,6 +70,46 @@ func sampleEvent(sm scenario.MachineSample) *MachineEvent {
 		Injections:    sm.Injections,
 		ViolationS:    sm.ViolationS,
 	}
+}
+
+// machineEvent converts a per-machine completion summary into its stream
+// event payload.
+func machineEvent(m scenario.MachineResult) *MachineEvent {
+	return &MachineEvent{
+		Index:         m.Index,
+		MeanJunctionC: m.MeanJunction,
+		MaxJunctionC:  m.PeakJunction,
+		PeakJunctionC: m.PeakJunction,
+		BusyS:         m.BusyS,
+		InjectedIdleS: m.InjectedIdleS,
+		Injections:    m.Injections,
+		Violations:    m.Violations,
+		violationS:    m.ViolationS,
+	}
+}
+
+// terminal reports whether e ends its job's stream.
+func (e Event) terminal() bool { return e.Type == "done" || e.Type == "error" }
+
+// emit publishes events on j's stream: the only way a job event is made.
+// The stream assigns each its Seq and, under its lock, runs s.fold on it, so
+// every view derived from a job's events sees them in Seq order; the
+// terminal event closes the stream.
+func (s *Service) emit(j *Job, es ...Event) { j.stream.append(es...) }
+
+// fold applies one job event to every view derived from job events: the
+// flight recorder's "stream" record, the heat map (which drops the job's row
+// at its terminal event) and, for each announced machine, the fleet
+// violation histogram. It runs under the job's stream lock and must stay
+// cheap and non-blocking.
+func (s *Service) fold(e Event) {
+	if s.rec != nil {
+		s.rec.Record("stream", e.Job, e.Type, float64(e.Seq))
+	}
+	if e.Type == "machine" {
+		s.met.fleetViolation.Observe(e.Machine.violationS)
+	}
+	s.heat.fold(e.Job, e)
 }
 
 // stream is a bounded, append-only event log with broadcast wakeups: one
@@ -82,25 +127,27 @@ type stream struct {
 	next   int
 	closed bool
 	notify chan struct{}
-	// onAppend, when non-nil, observes each appended event after its Seq is
-	// assigned — the flight recorder's tap. It runs under the stream lock and
-	// must be cheap and non-blocking (the recorder's ring write is).
-	onAppend func(Event)
+	// fold, when non-nil, observes each appended event after its Seq is
+	// assigned (Service.fold for a job's stream). It runs under the stream
+	// lock.
+	fold func(Event)
 }
 
-func newStream(max int) *stream {
+func newStream(max int, fold func(Event)) *stream {
 	if max < 16 {
 		max = 16
 	}
 	return &stream{
 		max:    max,
 		notify: make(chan struct{}),
+		fold:   fold,
 	}
 }
 
 // append assigns the events consecutive sequence numbers and wakes all
-// waiters once. Appending to a closed stream is a no-op (a late hook firing
-// after cancellation must not resurrect the stream).
+// waiters once. A terminal event closes the stream; appending to a closed
+// stream is a no-op (a late hook firing after cancellation must not
+// resurrect the stream).
 func (st *stream) append(es ...Event) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -110,8 +157,8 @@ func (st *stream) append(es ...Event) {
 	for _, e := range es {
 		e.Seq = st.next
 		st.next++
-		if st.onAppend != nil {
-			st.onAppend(e)
+		if st.fold != nil {
+			st.fold(e)
 		}
 		if len(st.ring) < st.max {
 			st.ring = append(st.ring, e)
@@ -119,19 +166,11 @@ func (st *stream) append(es ...Event) {
 			st.ring[e.Seq%st.max] = e
 			st.start++
 		}
+		if e.terminal() {
+			st.closed = true
+			break
+		}
 	}
-	close(st.notify)
-	st.notify = make(chan struct{})
-}
-
-// closeStream marks the stream complete and wakes all waiters.
-func (st *stream) closeStream() {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.closed {
-		return
-	}
-	st.closed = true
 	close(st.notify)
 	st.notify = make(chan struct{})
 }
