@@ -12,8 +12,6 @@ package dimetrodon
 
 import (
 	"fmt"
-	"io"
-	"os"
 	"testing"
 
 	"repro/internal/experiments"
@@ -30,18 +28,15 @@ func benchRun(b *testing.B, id string) { benchRunEngine(b, id, Engine{}) }
 // benchRunEngine is benchRun under an explicit engine.
 func benchRunEngine(b *testing.B, id string, ec Engine) {
 	b.Helper()
-	e, ok := Experiments[id]
+	e, ok := LookupExperiment(id)
 	if !ok {
 		b.Fatalf("unknown experiment %q", id)
 	}
 	for i := 0; i < b.N; i++ {
-		out := io.Writer(io.Discard)
+		res := e.Run(BenchScale, ec)
 		if i == b.N-1 {
-			out = os.Stdout
 			fmt.Printf("\n==== %s (%s) @ scale %v ====\n", e.ID, e.Title, float64(BenchScale))
-		}
-		if err := e.Run(out, BenchScale, ec); err != nil {
-			b.Fatal(err)
+			fmt.Println(res)
 		}
 	}
 }

@@ -69,8 +69,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case "sched":
 		return schedCmd(rest[1:], dimetrodon.Scale(*scale), ec, *outDir, stdout, stderr)
 	case "list":
-		for _, id := range dimetrodon.ExperimentIDs() {
-			e := dimetrodon.Experiments[id]
+		for _, e := range dimetrodon.Experiments {
 			fmt.Fprintf(stdout, "%-18s %s\n", e.ID, e.Title)
 			fmt.Fprintf(stdout, "%-18s   %s\n", "", e.Summary)
 		}
@@ -85,14 +84,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 			targets = dimetrodon.ExperimentIDs()
 		}
 		for _, id := range targets {
-			e, ok := dimetrodon.Experiments[id]
+			e, ok := dimetrodon.LookupExperiment(id)
 			if !ok {
 				unknownName(stderr, "experiment", id, dimetrodon.ExperimentIDs())
 				return 2
 			}
 			fmt.Fprintf(stdout, "==== %s (%s) ====\n", e.ID, e.Title)
 			start := time.Now()
-			if err := e.Run(stdout, dimetrodon.Scale(*scale), ec); err != nil {
+			if _, err := fmt.Fprintln(stdout, e.Run(dimetrodon.Scale(*scale), ec)); err != nil {
 				fmt.Fprintf(stderr, "dimctl: %s failed: %v\n", id, err)
 				return 1
 			}
@@ -109,7 +108,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			targets = dimetrodon.ExperimentIDs()
 		}
 		for _, id := range targets {
-			if _, ok := dimetrodon.Experiments[id]; !ok {
+			if _, ok := dimetrodon.LookupExperiment(id); !ok {
 				unknownName(stderr, "experiment", id, dimetrodon.ExperimentIDs())
 				return 2
 			}

@@ -9,14 +9,14 @@ import (
 	"testing"
 	"time"
 
-	dimetrodon "repro"
+	"repro/internal/service"
 )
 
 // newTestDaemon boots an in-process dimd core behind httptest and returns
 // its base URL.
 func newTestDaemon(t *testing.T) string {
 	t.Helper()
-	svc := dimetrodon.NewService(dimetrodon.ServiceConfig{Workers: 2, DefaultScale: 0.05})
+	svc := service.New(service.Config{Workers: 2, DefaultScale: 0.05})
 	srv := httptest.NewServer(svc.Handler())
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -142,11 +142,11 @@ func TestRemoteErrors(t *testing.T) {
 // never alive: every clustered scenario job degrades to local execution.
 func newDegradedCoordinator(t *testing.T) string {
 	t.Helper()
-	cfg := dimetrodon.ServiceConfig{Workers: 2, DefaultScale: 0.05}
+	cfg := service.Config{Workers: 2, DefaultScale: 0.05}
 	cfg.Cluster.Workers = []string{"http://127.0.0.1:1", "http://127.0.0.1:2"}
 	cfg.Cluster.LeaseTTL = 300 * time.Millisecond
 	cfg.Cluster.HeartbeatEvery = 50 * time.Millisecond
-	svc := dimetrodon.NewService(cfg)
+	svc := service.New(cfg)
 	srv := httptest.NewServer(svc.Handler())
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)

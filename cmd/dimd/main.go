@@ -57,9 +57,10 @@ import (
 	"syscall"
 	"time"
 
-	dimetrodon "repro"
+	"repro/internal/engine"
 	"repro/internal/faultinject"
 	"repro/internal/obs"
+	"repro/internal/service"
 )
 
 func main() {
@@ -102,7 +103,7 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		fmt.Fprintf(stderr, "dimd: unexpected arguments %v\n", fs.Args())
 		return 2
 	}
-	ec := dimetrodon.Engine{Integrator: *integrator, Jobs: *jobs}
+	ec := engine.Config{Integrator: *integrator, Jobs: *jobs}
 	if err := ec.Validate(); err != nil {
 		fmt.Fprintf(stderr, "dimd: %v\n", err)
 		return 2
@@ -157,7 +158,7 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		defer cleanupPid()
 	}
 
-	cfg := dimetrodon.ServiceConfig{
+	cfg := service.Config{
 		Workers:         *workers,
 		QueueDepth:      *queue,
 		CacheBytes:      int64(*cacheMB) << 20,
@@ -176,7 +177,7 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 	cfg.SLO.ViolationS = *sloViolation
 	cfg.SLO.Budget = *sloBurnBudget
 	cfg.SLO.MinEvents = *sloMinEvents
-	svc, err := dimetrodon.OpenService(cfg)
+	svc, err := service.Open(cfg)
 	if err != nil {
 		fmt.Fprintf(stderr, "dimd: %v\n", err)
 		return 1

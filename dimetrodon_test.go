@@ -1,6 +1,7 @@
 package dimetrodon
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"strings"
@@ -112,10 +113,9 @@ func TestExperimentRegistry(t *testing.T) {
 			t.Errorf("ids[%d] = %q, want %q", i, ids[i], want[i])
 		}
 	}
-	for _, id := range ids {
-		e := Experiments[id]
-		if e.ID != id || e.Title == "" || e.Summary == "" || e.Run == nil {
-			t.Errorf("experiment %q incomplete", id)
+	for i, e := range Experiments {
+		if e.ID != ids[i] || e.Title == "" || e.Summary == "" || e.Run == nil {
+			t.Errorf("experiment %q incomplete", e.ID)
 		}
 	}
 }
@@ -142,8 +142,9 @@ func TestExportCoversRegistry(t *testing.T) {
 }
 
 func TestExperimentRunsToWriter(t *testing.T) {
+	e, _ := LookupExperiment("fig1")
 	var b strings.Builder
-	if err := Experiments["fig1"].Run(&b, 0.25, Engine{}); err != nil {
+	if _, err := fmt.Fprintln(&b, e.Run(0.25, Engine{})); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(b.String(), "Figure 1") {

@@ -9,24 +9,19 @@ package main
 import (
 	"flag"
 	"fmt"
-	"os"
 
-	dimetrodon "repro"
+	"repro/internal/engine"
+	"repro/internal/experiments"
 )
 
 func main() {
 	scale := flag.Float64("scale", 0.25, "run scale (1.0 = paper-duration 300s runs)")
 	flag.Parse()
+	s := experiments.Scale(*scale)
 
 	fmt.Printf("Dimetrodon thermal sweep at scale %.2f\n\n", *scale)
 	fmt.Println("-- Figure 3: efficiency vs idle quantum length --")
-	if err := dimetrodon.Experiments["fig3"].Run(os.Stdout, dimetrodon.Scale(*scale), dimetrodon.Engine{}); err != nil {
-		fmt.Fprintln(os.Stderr, "fig3:", err)
-		os.Exit(1)
-	}
+	fmt.Println(experiments.RunFigure3(s, engine.Config{}))
 	fmt.Println("-- Figure 4: Dimetrodon vs VFS vs p4tcc --")
-	if err := dimetrodon.Experiments["fig4"].Run(os.Stdout, dimetrodon.Scale(*scale), dimetrodon.Engine{}); err != nil {
-		fmt.Fprintln(os.Stderr, "fig4:", err)
-		os.Exit(1)
-	}
+	fmt.Println(experiments.RunFigure4(s, engine.Config{}))
 }

@@ -1,20 +1,14 @@
 package dimetrodon
 
 import (
-	"fmt"
-	"io"
-	"sort"
-	"strings"
 	"time"
 
 	"repro/internal/bench"
 	"repro/internal/engine"
 	"repro/internal/experiments"
-	"repro/internal/export"
 	"repro/internal/fleetsched"
 	"repro/internal/machine"
 	"repro/internal/scenario"
-	"repro/internal/service"
 )
 
 // Scale controls experiment durations and trial counts; 1.0 reproduces the
@@ -57,134 +51,24 @@ func RunMicroBench(m MicroBench, iters int) (time.Duration, error) {
 	return time.Since(start), err
 }
 
-// Experiment is one reproducible artefact of the paper's evaluation.
-type Experiment struct {
-	ID      string
-	Title   string
-	Summary string
-	// Run executes the harness under ec and writes the rendered result to w.
-	Run func(w io.Writer, scale Scale, ec Engine) error
-}
+// Experiment is one reproducible artefact of the paper's evaluation; its Run
+// returns a Result whose String is the `dimctl run` report and whose Files
+// are the `dimctl export` CSVs.
+type Experiment = experiments.Experiment
 
-// printed adapts a harness to Experiment.Run: run it and print its result.
-func printed[R fmt.Stringer](harness func(Scale, Engine) R) func(io.Writer, Scale, Engine) error {
-	return func(w io.Writer, s Scale, ec Engine) error {
-		_, err := fmt.Fprintln(w, harness(s, ec))
-		return err
-	}
-}
+// Experiments is the experiment table in ID order — one harness per figure
+// and table of the paper plus the ablation studies (see DESIGN.md §3).
+var Experiments = experiments.Table
 
-// Experiments maps experiment IDs to harnesses — one per figure and table of
-// the paper plus the ablation studies (see DESIGN.md §3 for the index).
-var Experiments = map[string]Experiment{
-	"fig1": {
-		ID: "fig1", Title: "Figure 1: race-to-idle vs Dimetrodon power trace",
-		Summary: "Package power while a 4-thread CPU-bound job runs, with and without injection.",
-		Run:     printed(experiments.RunFigure1),
-	},
-	"val-throughput": {
-		ID: "val-throughput", Title: "§3.3 throughput model validation",
-		Summary: "Measured runtimes vs D(t)=R+S·p/(1−p)·L across the p×L grid.",
-		Run:     printed(experiments.RunValidationThroughput),
-	},
-	"val-energy": {
-		ID: "val-energy", Title: "§3.3 energy model validation",
-		Summary: "Dimetrodon energy as % of race-to-idle over equal windows.",
-		Run:     printed(experiments.RunValidationEnergy),
-	},
-	"fig2": {
-		ID: "fig2", Title: "Figure 2: temperature rise over idle vs time",
-		Summary: "cpuburn under p ∈ {0,.25,.5,.75}, L=100ms.",
-		Run:     printed(experiments.RunFigure2),
-	},
-	"fig3": {
-		ID: "fig3", Title: "Figure 3: efficiency vs idle quantum length",
-		Summary: "Temperature:throughput efficiency across L ∈ [1,100]ms per p.",
-		Run:     printed(experiments.RunFigure3),
-	},
-	"fig4": {
-		ID: "fig4", Title: "Figure 4: technique comparison sweep",
-		Summary: "Dimetrodon vs VFS vs p4tcc Pareto boundaries and power-law fit.",
-		Run:     printed(experiments.RunFigure4),
-	},
-	"table1": {
-		ID: "table1", Title: "Table 1: SPEC CPU2006 workload results",
-		Summary: "Rise % of cpuburn and T(r)=α·r^β fits per workload.",
-		Run:     printed(experiments.RunTable1),
-	},
-	"fig5": {
-		ID: "fig5", Title: "Figure 5: global vs thread-specific control",
-		Summary: "Cool-process throughput vs system temperature reduction.",
-		Run:     printed(experiments.RunFigure5),
-	},
-	"fig6": {
-		ID: "fig6", Title: "Figure 6: web workload QoS vs temperature",
-		Summary: "SPECWeb-like closed loop; good/tolerable QoS boundaries.",
-		Run:     printed(experiments.RunFigure6),
-	},
-	"abl-leakage": {
-		ID: "abl-leakage", Title: "Ablation: leakage temperature coupling",
-		Summary: "Trade-off curves with leakage frozen at its reference value.",
-		Run:     printed(experiments.RunAblationLeakage),
-	},
-	"abl-cstate": {
-		ID: "abl-cstate", Title: "Ablation: C1E vs halt-only injected idle",
-		Summary: "Injected quanta at full-voltage halt instead of C1E.",
-		Run:     printed(experiments.RunAblationCState),
-	},
-	"abl-deterministic": {
-		ID: "abl-deterministic", Title: "Ablation: deterministic injection",
-		Summary: "Error-accumulator injection vs the probabilistic model.",
-		Run:     printed(experiments.RunAblationDeterministic),
-	},
-	"abl-hotspot": {
-		ID: "abl-hotspot", Title: "Ablation: sensor placement (hotspot)",
-		Summary: "Trade-off sensitivity to reading a fast hotspot node instead of the junction block.",
-		Run:     printed(experiments.RunAblationHotspot),
-	},
-	"abl-kernel": {
-		ID: "abl-kernel", Title: "Ablation: injecting kernel threads",
-		Summary: "§3.1 policy decision — QoS cost of making the interrupt path injectable.",
-		Run:     printed(experiments.RunAblationKernelThreads),
-	},
-	"ext-adaptive": {
-		ID: "ext-adaptive", Title: "Extension: adaptive setpoint control",
-		Summary: "Closed-loop online policy adjustment (§2.1) holding a junction target across load phases.",
-		Run:     printed(experiments.RunAdaptiveControl),
-	},
-	"ext-smt": {
-		ID: "ext-smt", Title: "Extension: SMT idle co-scheduling",
-		Summary: "§3.2's deferred problem — gang-idling sibling contexts so the core reaches C1E.",
-		Run:     printed(experiments.RunSMTCoScheduling),
-	},
-	"ext-ule": {
-		ID: "ext-ule", Title: "Extension: scheduler generality (ULE)",
-		Summary: "Footnote 2's claim — identical trade-offs under a ULE-style per-CPU-queue scheduler.",
-		Run:     printed(experiments.RunULEComparison),
-	},
-	"ext-emergency": {
-		ID: "ext-emergency", Title: "Extension: cooling failure vs reactive DTM",
-		Summary: "§1's framing — preventive control keeps the PROCHOT/TM1 backstop dormant under a fan failure.",
-		Run:     printed(experiments.RunEmergencyScenario),
-	},
-}
+// LookupExperiment returns the experiment with the given ID.
+var LookupExperiment = experiments.Lookup
 
-// ExperimentIDs returns the experiment identifiers in stable order.
-func ExperimentIDs() []string {
-	ids := make([]string, 0, len(Experiments))
-	for id := range Experiments {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
-}
+// ExperimentIDs returns the experiment identifiers in table (ID) order.
+func ExperimentIDs() []string { return experiments.IDs() }
 
 // Export runs the identified experiment under ec and writes plot-ready CSV
-// files into dir, returning the written paths. Every experiment ID in
-// Experiments is exportable.
-func Export(id string, scale Scale, dir string, ec Engine) ([]string, error) {
-	return experiments.Export(id, scale, dir, ec)
-}
+// files into dir, returning the written paths.
+var Export = experiments.Export
 
 // --- Scenario engine (beyond the paper's fixed evaluation) ---
 
@@ -287,52 +171,4 @@ func ExportSchedResult(r *SchedResult, dir string) ([]string, error) {
 // policy and writes its per-machine, fleet and per-job CSVs into dir.
 func ExportSchedScenario(name string, scale Scale, dir string, ec Engine) ([]string, error) {
 	return fleetsched.Export(name, float64(scale), dir, ec)
-}
-
-// --- Simulation-as-a-service (the dimd daemon core) ---
-
-// ServiceConfig sizes the simulation service; see internal/service.Config.
-type ServiceConfig = service.Config
-
-// SimService is the daemon core behind cmd/dimd: job queue, worker pool,
-// content-addressed result cache, telemetry streaming and the HTTP API.
-type SimService = service.Service
-
-// NewService builds a running simulation service with the full experiment
-// table enabled alongside scenario and sched jobs. It panics if a durable
-// config fails to open its data directory — use OpenService to handle that.
-func NewService(cfg ServiceConfig) *SimService {
-	cfg.Experiments = ServiceExperiments()
-	return service.New(cfg)
-}
-
-// OpenService is NewService with durable-recovery error handling: when
-// cfg.DataDir is set it replays the job journal, warms the result cache from
-// persisted artifacts and re-enqueues interrupted jobs before returning.
-func OpenService(cfg ServiceConfig) (*SimService, error) {
-	cfg.Experiments = ServiceExperiments()
-	return service.Open(cfg)
-}
-
-// ServiceExperiments adapts the experiment table for the service daemon:
-// Run produces exactly the bytes `dimctl run` writes between its banners,
-// Render exactly the files `dimctl export` writes.
-func ServiceExperiments() service.ExperimentSource {
-	return service.ExperimentSource{
-		IDs: ExperimentIDs,
-		Run: func(id string, scale float64, ec Engine) (string, error) {
-			e, ok := Experiments[id]
-			if !ok {
-				return "", fmt.Errorf("unknown experiment %q", id)
-			}
-			var b strings.Builder
-			if err := e.Run(&b, Scale(scale), ec); err != nil {
-				return "", err
-			}
-			return b.String(), nil
-		},
-		Render: func(id string, scale float64, ec Engine) ([]export.File, error) {
-			return experiments.Render(id, Scale(scale), ec)
-		},
-	}
 }

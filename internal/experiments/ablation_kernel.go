@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/export"
 	"repro/internal/machine"
 	"repro/internal/runner"
 	"repro/internal/units"
@@ -141,4 +142,16 @@ func (r KernelAblationResult) String() string {
 	b.WriteString("(delaying interrupt processing delays requests twice: once in the kernel,\n")
 	b.WriteString(" again in the user thread)\n")
 	return b.String()
+}
+
+// Files renders the shielded and injected arms side by side.
+func (r KernelAblationResult) Files() []export.File {
+	var b strings.Builder
+	b.WriteString("label,shielded_good,shielded_r,shielded_mean_s,injected_good,injected_r,injected_mean_s,kernel_injections\n")
+	for _, p := range r.Points {
+		fmt.Fprintf(&b, "%q,%.4f,%.4f,%.6f,%.4f,%.4f,%.6f,%d\n", p.Label,
+			p.ShieldedGood, p.ShieldedRed, p.ShieldedMean.Seconds(),
+			p.InjectedGood, p.InjectedRed, p.InjectedMean.Seconds(), p.KernelInjects)
+	}
+	return []export.File{{Name: "abl_kernel.csv", Content: b.String()}}
 }

@@ -7,6 +7,7 @@ import (
 	"repro/internal/cpu"
 	"repro/internal/dtm"
 	"repro/internal/engine"
+	"repro/internal/export"
 	"repro/internal/machine"
 	"repro/internal/runner"
 	"repro/internal/units"
@@ -214,4 +215,17 @@ func (r AblationResult) String() string {
 			p.Variant.TempRed, p.Variant.PerfRed, p.Variant.Efficiency)
 	}
 	return b.String()
+}
+
+// Files renders the comparison as abl_<name>.csv, the file name of the
+// experiment ID abl-<name>.
+func (r AblationResult) Files() []export.File {
+	var b strings.Builder
+	b.WriteString("label,base_r,base_T,base_eff,variant_r,variant_T,variant_eff\n")
+	for _, p := range r.Points {
+		fmt.Fprintf(&b, "%q,%.6f,%.6f,%.4f,%.6f,%.6f,%.4f\n", p.Label,
+			p.Baseline.TempRed, p.Baseline.PerfRed, p.Baseline.Efficiency,
+			p.Variant.TempRed, p.Variant.PerfRed, p.Variant.Efficiency)
+	}
+	return []export.File{{Name: "abl_" + r.Name + ".csv", Content: b.String()}}
 }

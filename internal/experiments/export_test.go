@@ -9,15 +9,6 @@ import (
 	"repro/internal/engine"
 )
 
-// exportIDs lists every experiment with a CSV export path; kept in sync with
-// the registry by TestExportCoversRegistry in the root package.
-var exportIDs = []string{
-	"fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "table1",
-	"val-throughput", "val-energy",
-	"abl-leakage", "abl-cstate", "abl-deterministic", "abl-hotspot", "abl-kernel",
-	"ext-adaptive", "ext-emergency", "ext-smt", "ext-ule",
-}
-
 func TestExportWritesParseableCSVs(t *testing.T) {
 	dir := t.TempDir()
 	// A fast representative subset; the remaining IDs share the same

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/adaptive"
 	"repro/internal/engine"
+	"repro/internal/export"
 	"repro/internal/machine"
 	"repro/internal/sched"
 	"repro/internal/units"
@@ -128,4 +129,14 @@ func (r AdaptiveResult) String() string {
 	b.WriteString("(the controller spends performance only when heat demands it,\n")
 	b.WriteString(" re-engaging automatically when the heavy load returns)\n")
 	return b.String()
+}
+
+// Files renders the per-phase control summary.
+func (r AdaptiveResult) Files() []export.File {
+	var b strings.Builder
+	b.WriteString("phase,mean_dts_c,mean_p,target_err_c\n")
+	for _, p := range r.Phases {
+		fmt.Fprintf(&b, "%q,%.4f,%.4f,%.4f\n", p.Name, p.MeanDTS, p.MeanP, p.TargetErr)
+	}
+	return []export.File{{Name: "ext_adaptive.csv", Content: b.String()}}
 }

@@ -7,6 +7,7 @@ import (
 	"repro/internal/adaptive"
 	"repro/internal/dtm"
 	"repro/internal/engine"
+	"repro/internal/export"
 	"repro/internal/machine"
 	"repro/internal/runner"
 	"repro/internal/units"
@@ -111,4 +112,16 @@ func (r EmergencyResult) String() string {
 	b.WriteString("(§1: reactive DTM exists for catastrophic conditions; preventive\n")
 	b.WriteString(" management keeps it dormant while delivering steadier throughput)\n")
 	return b.String()
+}
+
+// Files renders one row per strategy.
+func (r EmergencyResult) Files() []export.File {
+	var b strings.Builder
+	b.WriteString("strategy,peak_c,mean_c,work_rate,trips,throttled_s\n")
+	for _, a := range r.Arms {
+		fmt.Fprintf(&b, "%q,%.3f,%.3f,%.4f,%d,%.3f\n", a.Name,
+			float64(a.PeakJunction), float64(a.MeanJunction),
+			a.WorkRate, a.Trips, a.Throttled.Seconds())
+	}
+	return []export.File{{Name: "ext_emergency.csv", Content: b.String()}}
 }

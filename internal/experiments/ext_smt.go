@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/export"
 	"repro/internal/machine"
 	"repro/internal/runner"
 	"repro/internal/sched"
@@ -167,4 +168,16 @@ func (r SMTResult) String() string {
 	b.WriteString("(naive per-context injection cannot reach C1E — the sibling keeps the\n")
 	b.WriteString(" core awake; ganging the quanta recovers the low-power state)\n")
 	return b.String()
+}
+
+// Files renders the naive and co-scheduled trade-offs side by side.
+func (r SMTResult) Files() []export.File {
+	var b strings.Builder
+	b.WriteString("label,naive_r,naive_T,naive_eff,cosched_r,cosched_T,cosched_eff,gang_idles\n")
+	for _, p := range r.Points {
+		fmt.Fprintf(&b, "%q,%.6f,%.6f,%.4f,%.6f,%.6f,%.4f,%d\n", p.Label,
+			p.Naive.TempRed, p.Naive.PerfRed, p.Naive.Efficiency,
+			p.CoSch.TempRed, p.CoSch.PerfRed, p.CoSch.Efficiency, p.ForcedIdles)
+	}
+	return []export.File{{Name: "ext_smt.csv", Content: b.String()}}
 }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/dtm"
 	"repro/internal/engine"
+	"repro/internal/export"
 	"repro/internal/machine"
 	"repro/internal/runner"
 	"repro/internal/units"
@@ -137,4 +138,16 @@ func (r ULEResult) String() string {
 	b.WriteString("(the injection decision point is the dispatcher in both organisations;\n")
 	b.WriteString(" the trade-offs match, confirming the paper's generality claim)\n")
 	return b.String()
+}
+
+// Files renders the BSD and ULE trade-offs side by side.
+func (r ULEResult) Files() []export.File {
+	var b strings.Builder
+	b.WriteString("label,bsd_r,bsd_T,bsd_eff,ule_r,ule_T,ule_eff,steals\n")
+	for _, p := range r.Points {
+		fmt.Fprintf(&b, "%q,%.6f,%.6f,%.4f,%.6f,%.6f,%.4f,%d\n", p.Label,
+			p.BSD.TempRed, p.BSD.PerfRed, p.BSD.Efficiency,
+			p.ULE.TempRed, p.ULE.PerfRed, p.ULE.Efficiency, p.Steals)
+	}
+	return []export.File{{Name: "ext_ule.csv", Content: b.String()}}
 }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/dtm"
 	"repro/internal/engine"
+	"repro/internal/export"
 	"repro/internal/machine"
 	"repro/internal/runner"
 	"repro/internal/sched"
@@ -136,4 +137,12 @@ func (r Figure1Result) String() string {
 	b.WriteString("\ndimetrodon (p=0.5, L=100ms):\n")
 	b.WriteString(r.Dimetrodon.ASCII(72, 10))
 	return b.String()
+}
+
+// Files renders the two power traces.
+func (r Figure1Result) Files() []export.File {
+	return []export.File{
+		seriesCSV("fig1_race_to_idle.csv", r.RaceToIdle),
+		seriesCSV("fig1_dimetrodon.csv", r.Dimetrodon),
+	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/dtm"
 	"repro/internal/engine"
+	"repro/internal/export"
 	"repro/internal/machine"
 	"repro/internal/runner"
 	"repro/internal/trace"
@@ -91,4 +92,13 @@ func (r Figure2Result) String() string {
 		b.WriteString(c.Rise.ASCII(72, 8))
 	}
 	return b.String()
+}
+
+// Files renders one rise trace per injection proportion.
+func (r Figure2Result) Files() []export.File {
+	var files []export.File
+	for _, c := range r.Curves {
+		files = append(files, seriesCSV(fmt.Sprintf("fig2_rise_p%02.0f.csv", c.P*100), c.Rise))
+	}
+	return files
 }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/dtm"
 	"repro/internal/engine"
+	"repro/internal/export"
 	"repro/internal/units"
 )
 
@@ -95,4 +96,15 @@ func (r Figure3Result) String() string {
 	b.WriteString("(paper: short idle quanta are particularly efficient; diminishing\n")
 	b.WriteString(" marginal returns for longer quanta lengths)\n")
 	return b.String()
+}
+
+// Files renders the efficiency surface.
+func (r Figure3Result) Files() []export.File {
+	var b strings.Builder
+	b.WriteString("p,L_ms,temp_reduction,perf_reduction,efficiency\n")
+	for _, pt := range r.Points {
+		fmt.Fprintf(&b, "%g,%g,%.6f,%.6f,%.4f\n",
+			pt.P, pt.L.Milliseconds(), pt.TempRed, pt.PerfRed, pt.Efficiency)
+	}
+	return []export.File{{Name: "fig3_efficiency.csv", Content: b.String()}}
 }

@@ -7,6 +7,7 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/dtm"
 	"repro/internal/engine"
+	"repro/internal/export"
 	"repro/internal/machine"
 	"repro/internal/units"
 )
@@ -185,4 +186,16 @@ func (r Figure4Result) String() string {
 	fmt.Fprintf(&b, "\ndimetrodon fit: %v (paper: T(r)=1.092*r^1.541)\n", r.Fit)
 	fmt.Fprintf(&b, "VFS overtakes dimetrodon at r ≈ %.0f%% (paper: ≈30%%)\n", 100*r.CrossoverR)
 	return b.String()
+}
+
+// Files renders each technique's sweep and Pareto boundary.
+func (r Figure4Result) Files() []export.File {
+	return []export.File{
+		pointsCSV("fig4_dimetrodon.csv", r.Dimetrodon),
+		pointsCSV("fig4_vfs.csv", r.VFS),
+		pointsCSV("fig4_p4tcc.csv", r.P4TCC),
+		pointsCSV("fig4_dimetrodon_pareto.csv", r.DimPareto),
+		pointsCSV("fig4_vfs_pareto.csv", r.VFSPareto),
+		pointsCSV("fig4_p4tcc_pareto.csv", r.TCCPareto),
+	}
 }

@@ -7,6 +7,7 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/export"
 	"repro/internal/machine"
 	"repro/internal/runner"
 	"repro/internal/sched"
@@ -176,4 +177,12 @@ func (r Figure5Result) String() string {
 	b.WriteString("\n(paper: with thread-specific control the cool process runs uninterrupted\n")
 	b.WriteString(" while system temperature is lowered; global policies penalise it)\n")
 	return b.String()
+}
+
+// Files renders the global and per-thread sweeps.
+func (r Figure5Result) Files() []export.File {
+	return []export.File{
+		fig5CSV("fig5_global.csv", r.Global),
+		fig5CSV("fig5_per_thread.csv", r.PerThread),
+	}
 }

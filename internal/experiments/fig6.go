@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/dtm"
 	"repro/internal/engine"
+	"repro/internal/export"
 	"repro/internal/machine"
 	"repro/internal/runner"
 	"repro/internal/units"
@@ -174,4 +175,16 @@ func (r Figure6Result) String() string {
 	b.WriteString("\n(paper: tolerable allows ~20% temperature reduction with virtually no\n")
 	b.WriteString(" drop-off; good holds >=1:1 until ~30% then falls quickly)\n")
 	return b.String()
+}
+
+// Files renders the QoS points.
+func (r Figure6Result) Files() []export.File {
+	var b strings.Builder
+	b.WriteString("label,temp_reduction,good_qos,tolerable_qos,throughput_rps,mean_latency_s\n")
+	for _, p := range r.Points {
+		fmt.Fprintf(&b, "%q,%.6f,%.6f,%.6f,%.3f,%.6f\n",
+			p.Label, p.TempReduction, p.GoodQoS, p.TolerableQoS,
+			p.Throughput, p.MeanLatency.Seconds())
+	}
+	return []export.File{{Name: "fig6_web_qos.csv", Content: b.String()}}
 }

@@ -7,6 +7,7 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/dtm"
 	"repro/internal/engine"
+	"repro/internal/export"
 	"repro/internal/units"
 	"repro/internal/workload"
 )
@@ -110,4 +111,16 @@ func (r Table1Result) String() string {
 			row.Fit.Alpha, row.PaperAlpha, row.Fit.Beta, row.PaperBeta)
 	}
 	return b.String()
+}
+
+// Files renders the workload table.
+func (r Table1Result) Files() []export.File {
+	var b strings.Builder
+	b.WriteString("workload,rise_pct,paper_rise_pct,alpha,paper_alpha,beta,paper_beta,fit_r2\n")
+	for _, row := range r.Rows {
+		fmt.Fprintf(&b, "%s,%.2f,%.1f,%.4f,%.3f,%.4f,%.3f,%.4f\n",
+			row.Workload, row.RisePct, row.PaperRisePct,
+			row.Fit.Alpha, row.PaperAlpha, row.Fit.Beta, row.PaperBeta, row.Fit.R2)
+	}
+	return []export.File{{Name: "table1_workloads.csv", Content: b.String()}}
 }

@@ -7,6 +7,7 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/dtm"
 	"repro/internal/engine"
+	"repro/internal/export"
 	"repro/internal/machine"
 	"repro/internal/runner"
 	"repro/internal/sched"
@@ -274,4 +275,27 @@ func (r EnergyValidationResult) String() string {
 		r.MinRatioPct, r.MaxRatioPct, r.MeanDevPct, r.MeanAbsDev)
 	b.WriteString("(paper: 97.6%%–103.7%%, mean −0.37%%, mean abs 1.67%%, clamp accuracy ±3.5%%)\n")
 	return b.String()
+}
+
+// Files renders the throughput validation grid.
+func (r ThroughputValidationResult) Files() []export.File {
+	var b strings.Builder
+	b.WriteString("p,L_ms,trials,predicted_s,measured_s,throughput_dev_pct\n")
+	for _, row := range r.Rows {
+		fmt.Fprintf(&b, "%g,%g,%d,%.6f,%.6f,%.4f\n",
+			row.P, row.L.Milliseconds(), row.Trials,
+			row.Predicted.Seconds(), row.MeanActual.Seconds(), row.DeviationPct)
+	}
+	return []export.File{{Name: "val_throughput.csv", Content: b.String()}}
+}
+
+// Files renders the energy validation grid.
+func (r EnergyValidationResult) Files() []export.File {
+	var b strings.Builder
+	b.WriteString("p,L_ms,trials,measured_ratio_pct,exact_ratio_pct\n")
+	for _, row := range r.Rows {
+		fmt.Fprintf(&b, "%g,%g,%d,%.4f,%.4f\n",
+			row.P, row.L.Milliseconds(), row.Trials, row.RatioPct, row.TrueRatioPct)
+	}
+	return []export.File{{Name: "val_energy.csv", Content: b.String()}}
 }

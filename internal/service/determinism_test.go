@@ -28,7 +28,7 @@ const goldenScale = 0.05
 
 func newDaemon(t *testing.T) *service.Client {
 	t.Helper()
-	svc := dimetrodon.NewService(dimetrodon.ServiceConfig{Workers: 2, DefaultScale: goldenScale})
+	svc := service.New(service.Config{Workers: 2, DefaultScale: goldenScale})
 	srv := httptest.NewServer(svc.Handler())
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -143,11 +143,11 @@ func TestDaemonExperimentByteIdenticalToCLI(t *testing.T) {
 	const id = "fig2"
 	c := newDaemon(t)
 
-	src := dimetrodon.ServiceExperiments()
-	localOut, err := src.Run(id, goldenScale, dimetrodon.Engine{})
-	if err != nil {
-		t.Fatalf("local run: %v", err)
+	e, ok := dimetrodon.LookupExperiment(id)
+	if !ok {
+		t.Fatalf("local run: unknown experiment %q", id)
 	}
+	localOut := e.Run(goldenScale, dimetrodon.Engine{}).String() + "\n"
 	dir := t.TempDir()
 	if _, err := dimetrodon.Export(id, dimetrodon.Scale(goldenScale), dir, dimetrodon.Engine{}); err != nil {
 		t.Fatalf("local export: %v", err)

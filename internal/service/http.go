@@ -10,6 +10,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/experiments"
 	"repro/internal/scenario"
 )
 
@@ -213,10 +214,7 @@ type Catalog struct {
 }
 
 func (s *Service) handleCatalog(w http.ResponseWriter, r *http.Request) {
-	cat := Catalog{Policies: scenario.PlacementPolicies}
-	if s.cfg.Experiments.IDs != nil {
-		cat.Experiments = s.cfg.Experiments.IDs()
-	}
+	cat := Catalog{Experiments: experiments.IDs(), Policies: scenario.PlacementPolicies}
 	for _, name := range scenario.Names() {
 		cat.Scenarios = append(cat.Scenarios, name)
 		if spec, ok := scenario.Get(name); ok && spec.Scheduler != nil {

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/experiments"
 	"repro/internal/export"
 	"repro/internal/machine"
 	"repro/internal/obs"
@@ -97,10 +98,11 @@ func (s *Service) resolve(req Request) (*resolved, error) {
 		}
 		r.spec = spec
 	} else if req.Name != "" {
-		if r.kind == KindExperiment || (r.kind == "" && s.isExperiment(req.Name)) {
+		_, isExp := experiments.Lookup(req.Name)
+		if r.kind == KindExperiment || (r.kind == "" && isExp) {
 			r.kind = KindExperiment
 			r.expID = req.Name
-			if !s.isExperiment(req.Name) {
+			if !isExp {
 				return nil, fmt.Errorf("unknown experiment %q", req.Name)
 			}
 		} else {
@@ -172,18 +174,6 @@ func (s *Service) resolve(req Request) (*resolved, error) {
 		r.kind, ident, r.policy, r.scale, s.cfg.Engine.Integrator))
 	r.key = hex.EncodeToString(sum[:])
 	return r, nil
-}
-
-func (s *Service) isExperiment(name string) bool {
-	if s.cfg.Experiments.IDs == nil {
-		return false
-	}
-	for _, id := range s.cfg.Experiments.IDs() {
-		if id == name {
-			return true
-		}
-	}
-	return false
 }
 
 // Artifact is one completed job's output: the rendered report (byte-identical

@@ -29,7 +29,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/engine"
-	"repro/internal/export"
+	"repro/internal/experiments"
 	"repro/internal/faultinject"
 	"repro/internal/fleetsched"
 	"repro/internal/obs"
@@ -45,20 +45,6 @@ var (
 	// ErrUnknownJob is returned for lookups of untracked job IDs (HTTP 404).
 	ErrUnknownJob = errors.New("service: unknown job")
 )
-
-// ExperimentSource adapts the root package's experiment table for the
-// daemon without an import cycle: the service depends only on these three
-// closures, wired up by cmd/dimd (see dimetrodon.ServiceExperiments).
-type ExperimentSource struct {
-	// IDs lists the experiment identifiers in stable order.
-	IDs func() []string
-	// Run executes one experiment and returns its rendered report —
-	// byte-identical to what `dimctl run` writes between its banners.
-	Run func(id string, scale float64, ec engine.Config) (string, error)
-	// Render returns the experiment's plot-ready CSV artefacts —
-	// byte-identical to `dimctl export`'s files.
-	Render func(id string, scale float64, ec engine.Config) ([]export.File, error)
-}
 
 // Config sizes the daemon. Zero fields select the documented defaults.
 type Config struct {
@@ -80,9 +66,6 @@ type Config struct {
 	// TelemetryEvery is the per-machine sampling cadence for unscheduled
 	// scenario streams, in metric ticks. Default: 50 (5 s of virtual time).
 	TelemetryEvery int
-	// Experiments enables experiment jobs; the zero value disables them
-	// (scenario and sched jobs always work).
-	Experiments ExperimentSource
 	// Engine is the integrator and trial parallelism every job runs under;
 	// the integrator is part of the content key and must match cluster-wide.
 	Engine engine.Config
@@ -704,23 +687,16 @@ func (s *Service) execute(ctx context.Context, j *Job) (*Artifact, error) {
 	r := j.res
 	switch r.kind {
 	case KindExperiment:
-		if s.cfg.Experiments.Run == nil {
-			return nil, fmt.Errorf("experiment jobs are not enabled on this daemon")
-		}
+		e, _ := experiments.Lookup(r.expID) // resolve admits only table IDs
 		// Paper harnesses have no internal cancellation points; a cancel
 		// that raced the start still wins before the run begins.
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		rendered, err := s.cfg.Experiments.Run(r.expID, r.scale, s.cfg.Engine)
-		if err != nil {
-			return nil, err
-		}
-		files, err := s.cfg.Experiments.Render(r.expID, r.scale, s.cfg.Engine)
-		if err != nil {
-			return nil, err
-		}
-		return &Artifact{Rendered: rendered, Files: files}, nil
+		// One run renders both: the report exactly as `dimctl run` prints
+		// it between its banners, and the files `dimctl export` writes.
+		res := e.Run(experiments.Scale(r.scale), s.cfg.Engine)
+		return &Artifact{Rendered: res.String() + "\n", Files: res.Files()}, nil
 
 	case KindScenario:
 		if s.clu != nil {

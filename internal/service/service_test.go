@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -14,7 +15,7 @@ import (
 	"time"
 
 	"repro/internal/engine"
-	"repro/internal/export"
+	"repro/internal/experiments"
 )
 
 // tinySpec renders a minimal fast scenario: `machines` one-core burn
@@ -669,21 +670,11 @@ func TestDrainTimeoutCancelsInFlight(t *testing.T) {
 	}
 }
 
-func TestExperimentJobsViaSource(t *testing.T) {
-	var runs atomic.Int64
-	src := ExperimentSource{
-		IDs: func() []string { return []string{"toy"} },
-		Run: func(id string, scale float64, _ engine.Config) (string, error) {
-			runs.Add(1)
-			return fmt.Sprintf("toy experiment at scale %g\n", scale), nil
-		},
-		Render: func(id string, scale float64, _ engine.Config) ([]export.File, error) {
-			return []export.File{{Name: "toy.csv", Content: "k,v\na,1\n"}}, nil
-		},
-	}
-	_, c := newTestService(t, Config{Workers: 1, DefaultScale: 0.25, Experiments: src})
+func TestExperimentJobsFromTable(t *testing.T) {
+	const scale = 0.05
+	_, c := newTestService(t, Config{Workers: 1, DefaultScale: scale})
 
-	v, err := c.Submit(Request{Name: "toy"})
+	v, err := c.Submit(Request{Name: "fig1"})
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
@@ -695,16 +686,17 @@ func TestExperimentJobsViaSource(t *testing.T) {
 		t.Fatalf("wait: %v (state %s %s)", err, final.State, final.Error)
 	}
 	out, _ := c.Output(v.ID)
-	if out != "toy experiment at scale 0.25\n" {
-		t.Fatalf("output = %q", out)
+	e, _ := experiments.Lookup("fig1")
+	if want := e.Run(scale, engine.Config{}).String() + "\n"; out != want {
+		t.Fatalf("output differs from the table's harness:\n--- daemon ---\n%s\n--- table ---\n%s", out, want)
 	}
 	// Cache hit: same experiment+scale re-runs nothing.
-	again, err := c.Submit(Request{Name: "toy"})
+	again, err := c.Submit(Request{Name: "fig1"})
 	if err != nil {
 		t.Fatalf("resubmit: %v", err)
 	}
-	if !again.CacheHit || runs.Load() != 1 {
-		t.Fatalf("experiment re-submission re-ran (hit=%v runs=%d)", again.CacheHit, runs.Load())
+	if !again.CacheHit {
+		t.Fatalf("experiment re-submission missed the cache")
 	}
 	// Unknown names fail fast at admission.
 	if _, err := c.Submit(Request{Name: "no-such-thing"}); err == nil {
@@ -714,7 +706,7 @@ func TestExperimentJobsViaSource(t *testing.T) {
 	if err != nil {
 		t.Fatalf("catalog: %v", err)
 	}
-	if len(cat.Experiments) != 1 || cat.Experiments[0] != "toy" || len(cat.Scenarios) == 0 || len(cat.Policies) == 0 {
+	if !slices.Equal(cat.Experiments, experiments.IDs()) || len(cat.Scenarios) == 0 || len(cat.Policies) == 0 {
 		t.Fatalf("catalog incomplete: %+v", cat)
 	}
 }
