@@ -75,8 +75,11 @@ func idleFingerprint(cfg *Config, coupling float64) string {
 }
 
 // idleSolve returns the all-idle equilibrium for cfg at the given leakage
-// coupling, solving and caching it on first use.
-func idleSolve(cfg *Config, coupling float64) *idleSolution {
+// coupling, solving and caching it on first use. A miss solves on path and
+// chip when they are given — a freshly built pair for cfg, every node at
+// ambient and every core idle in C1E at this coupling, which the caller is
+// about to start from — and on a scratch pair otherwise.
+func idleSolve(cfg *Config, coupling float64, path *ThermalPath, chip *cpu.Chip) *idleSolution {
 	key := idleFingerprint(cfg, coupling)
 	idleCache.Lock()
 	sol, ok := idleCache.m[key]
@@ -84,7 +87,11 @@ func idleSolve(cfg *Config, coupling float64) *idleSolution {
 	if ok {
 		return sol
 	}
-	sol = solveIdle(cfg, coupling)
+	if path != nil {
+		sol = solveIdleOn(path, chip)
+	} else {
+		sol = solveIdle(cfg, coupling)
+	}
 	idleCache.Lock()
 	if idleCache.m == nil || len(idleCache.m) >= maxIdleSolutions {
 		idleCache.m = make(map[string]*idleSolution)
@@ -94,17 +101,19 @@ func idleSolve(cfg *Config, coupling float64) *idleSolution {
 	return sol
 }
 
-// solveIdle runs the uncached all-idle solve.
+// solveIdle runs the uncached all-idle solve on a scratch path and chip.
 func solveIdle(cfg *Config, coupling float64) *idleSolution {
-	scratch := NewThermalPath(*cfg)
-	idleChip := cpu.NewChip(cfg.Model)
-	if coupling != 1 {
-		idleChip.LeakageTempCoupling = coupling
-	}
-	scratch.SolveSteadyState(idleChip)
-	sol := &idleSolution{temps: scratch.Net.Temps(nil)}
+	chip := cpu.NewChip(cfg.Model)
+	chip.LeakageTempCoupling = coupling
+	return solveIdleOn(NewThermalPath(*cfg), chip)
+}
+
+// solveIdleOn runs the all-idle solve on path, in place.
+func solveIdleOn(path *ThermalPath, chip *cpu.Chip) *idleSolution {
+	path.SolveSteadyState(chip)
+	sol := &idleSolution{temps: path.Net.Temps(nil)}
 	var sum float64
-	junctions := scratch.Junctions(nil)
+	junctions := path.Junctions(nil)
 	for _, t := range junctions {
 		sum += float64(t)
 	}

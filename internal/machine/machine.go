@@ -203,6 +203,10 @@ type Machine struct {
 	intFrom  units.Time
 	intEpoch uint64
 
+	// idle is the all-idle equilibrium the machine started from, kept for
+	// IdleJunctionTemp.
+	idle *idleSolution
+
 	// rngDraws counts every Uint64 drawn from the machine's RNG tree (the
 	// root and all Split descendants). A zero count after construction
 	// proves a configuration's dynamics are seed-insensitive, which the
@@ -255,6 +259,14 @@ func New(cfg Config) *Machine {
 	}
 	m.Chip = cpu.NewChip(cfg.Model)
 	m.Net = NewThermalPath(cfg)
+	// Start from the idle equilibrium. A fresh chip idles every core in C1E
+	// with unit leakage coupling, which is exactly the memoised idle solve;
+	// on a miss it solves on this very path and chip before anything
+	// touches them.
+	m.idle = idleSolve(&m.cfg, 1, m.Net, m.Chip)
+	for i, t := range m.idle.temps {
+		m.Net.Net.SetTemp(thermal.NodeID(i), t)
+	}
 	schedCfg := cfg.Sched
 	schedCfg.Cores = cfg.Model.NumCores * cfg.SMTContexts
 	if cfg.SMTContexts > 1 {
@@ -291,11 +303,6 @@ func New(cfg Config) *Machine {
 		// updatePhysical with interleaved state, so it settles per span.
 		m.lazy = m.cfg.SMTContexts <= 1
 		m.intEpoch = m.Chip.TotalEpoch()
-	}
-	// Start from the idle equilibrium. A fresh chip idles every core in C1E
-	// with unit leakage coupling, which is exactly the memoised idle solve.
-	for i, t := range idleSolve(&m.cfg, 1).temps {
-		m.Net.Net.SetTemp(thermal.NodeID(i), t)
 	}
 	// Construction consumed draws only for substream seeding; zero the
 	// counter so RNGDraws reflects dynamics alone.
@@ -561,10 +568,15 @@ func (m *Machine) MeanJunctionIntegral() float64 {
 
 // IdleJunctionTemp returns the all-idle equilibrium junction temperature of
 // this machine configuration — the paper's "idle temperature" baseline.
-// The solve is memoised per thermally-relevant configuration (see idleSolve);
-// the running state is not disturbed.
+// At the unit leakage coupling it is the equilibrium the machine started
+// from; another coupling (the leakage ablation) is solved on a scratch path
+// and memoised per thermally-relevant configuration (see idleSolve). The
+// running state is not disturbed.
 func (m *Machine) IdleJunctionTemp() units.Celsius {
-	return idleSolve(&m.cfg, m.Chip.LeakageTempCoupling).mean
+	if c := m.Chip.LeakageTempCoupling; c != 1 {
+		return idleSolve(&m.cfg, c, nil, nil).mean
+	}
+	return m.idle.mean
 }
 
 // TotalWorkDone returns the summed completed work (reference-seconds) across

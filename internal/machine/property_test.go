@@ -90,7 +90,7 @@ func TestPropertyPerturbedIdleDecaysMonotonically(t *testing.T) {
 		cfg := randomConfig(r)
 		m := New(cfg)
 		m.Chip.LeakageTempCoupling = 0
-		eq := idleSolve(&m.cfg, 0).temps
+		eq := idleSolve(&m.cfg, 0, nil, nil).temps
 		delta := units.Celsius(1 + 7*r.Float64())
 		sup := perturbSup(m, eq, delta)
 		last := sup()
@@ -121,7 +121,7 @@ func TestPropertyPerturbedIdleReturnsToEquilibrium(t *testing.T) {
 		r := rng.New(uint64(9500 + trial))
 		cfg := randomConfig(r)
 		m := New(cfg)
-		eq := idleSolve(&m.cfg, 1).temps
+		eq := idleSolve(&m.cfg, 1, nil, nil).temps
 		delta := units.Celsius(0.5 + 1.5*r.Float64())
 		sup := perturbSup(m, eq, delta)
 		// The slowest mode is the heatsink against ambient; give the
@@ -173,8 +173,8 @@ func TestPropertyIdleCacheBitwiseIdentical(t *testing.T) {
 			coupling = 0.5 + r.Float64()
 		}
 		m := New(cfg) // populates the cache for coupling=1 via construction
-		cached := idleSolve(&m.cfg, coupling)
-		again := idleSolve(&m.cfg, coupling) // must be the same entry
+		cached := idleSolve(&m.cfg, coupling, nil, nil)
+		again := idleSolve(&m.cfg, coupling, nil, nil) // must be the same entry
 		if cached != again {
 			t.Fatalf("trial %d: repeated idleSolve did not hit the cache", trial)
 		}

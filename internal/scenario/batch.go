@@ -2,13 +2,11 @@
 //
 // Every scenario trial runs through runTrials. A homogeneous fleet — the
 // common case the paper's evaluation sweeps — would otherwise repeat
-// identical work N times over: each machine rebuilding its thermal
-// propagator ladders from scratch and scattering its hot state across the
-// heap. So trials are grouped by the part of their configuration that varies
-// within one compiled fleet (fan factor and ambient), one representative per
-// group runs first and publishes its built propagator ladders into a
-// fleet-shared read-locked cache (thermal.LadderCache), and the remaining
-// machines adopt the published ladders instead of rebuilding them. A group
+// identical work N times over. So every machine takes its leap propagators
+// from one thermal.PropStore — the caller's (dimd keeps one for its
+// lifetime), or one per run — which builds each propagator once per
+// topology. Trials are grouped by the part of their configuration that
+// varies within one compiled fleet (fan factor and ambient), and a group
 // whose representative provably never consumed randomness is simulated once
 // and replicated across seeds.
 //
@@ -61,13 +59,11 @@ func stampResult(src MachineResult, t *MachineTrial) MachineResult {
 	return src
 }
 
-// simulate builds and measures one trial with the engine's interposition at
-// the Build seam: the fleet-shared ladder cache is consulted by topology key
-// — adopting the published propagators on a hit, publishing this machine's
-// built ladders on a miss. It returns the result and the RNG draws the
-// dynamics consumed (the replication licence). The first traceMachineSpans
-// machines get their own trace span.
-func simulate(t MachineTrial, opts RunOptions, ladders *thermal.LadderCache) (MachineResult, uint64, error) {
+// simulate builds and measures one trial with its network on the run's
+// propagator store. It returns the result and the RNG draws the dynamics
+// consumed (the replication licence). The first traceMachineSpans machines
+// get their own trace span.
+func simulate(t MachineTrial, opts RunOptions, props *thermal.PropStore) (MachineResult, uint64, error) {
 	var sp obs.Span
 	if t.Index < traceMachineSpans {
 		sp = opts.Trace.Start(fmt.Sprintf("machine-%03d", t.Index), "machine", t.Index+1)
@@ -76,36 +72,27 @@ func simulate(t MachineTrial, opts RunOptions, ladders *thermal.LadderCache) (Ma
 	if err != nil {
 		return MachineResult{}, 0, err
 	}
-	net := m.Net.Net
-	key := net.TopoKey()
-	ps := ladders.Get(key)
-	if ps != nil {
-		net.AdoptShare(ps)
-	}
+	m.Net.Net.SetPropStore(props)
 	draws0 := m.RNGDraws()
 	res, err := measure(m, tm1, srv, t, opts)
 	if err != nil {
 		return MachineResult{}, 0, err
-	}
-	if ps == nil {
-		ladders.Put(key, net.ExportShare())
 	}
 	sp.EndArgs(map[string]any{"peak_c": res.PeakJunction})
 	return res, m.RNGDraws() - draws0, nil
 }
 
 // runTrials is the fleet engine's core: group the trials, run one
-// representative per group to publish shared ladders and establish the
-// replication licence, then run the remaining members with adopted ladders
-// — or, when the representative consumed no randomness,
-// stamp its result out across the group. It returns one result per trial, in
-// trial order, and fires OnMachine once per trial.
+// representative per group to establish the replication licence, then run
+// the remaining members — or, when the representative consumed no
+// randomness, stamp its result out across the group. It returns one result
+// per trial, in trial order, and fires OnMachine once per trial.
 //
 // Replication is derived from the installed observers: a telemetry tap or a
 // state observer must see every machine's own run, and a replicated result
 // carries neither its samples nor its final state, so replication stands
-// down when either is set. Every machine then simulates for real, still with
-// shared propagators. No other sharing is needed:
+// down when either is set. Every machine then simulates for real, still on
+// the shared propagator store. No other sharing is needed:
 // MachineSeed is injective in the index, so one compiled fleet never holds
 // two equal (config, seed) trials.
 func runTrials(spec *Spec, trials []MachineTrial, opts RunOptions) ([]MachineResult, error) {
@@ -136,12 +123,15 @@ func runTrials(spec *Spec, trials []MachineTrial, opts RunOptions) ([]MachineRes
 	}
 
 	spStep := opts.Trace.Start("step", "scenario", 0)
-	// Representatives run before the rest of their group, so their published
-	// ladders and draw counts are available to the members.
-	ladders := thermal.NewLadderCache()
+	// Representatives run before the rest of their group, so their draw
+	// counts are known before the members run.
+	props := opts.PropStore
+	if props == nil {
+		props = thermal.NewPropStore()
+	}
 	if _, err := runner.MapErrCtx(opts.Context, opts.Engine.Jobs, order, func(_ int, g *batchGroup) (struct{}, error) {
 		i := g.members[0]
-		r, draws, err := simulate(trials[i], opts, ladders)
+		r, draws, err := simulate(trials[i], opts, props)
 		if err != nil {
 			return struct{}{}, err
 		}
@@ -156,8 +146,7 @@ func runTrials(spec *Spec, trials []MachineTrial, opts RunOptions) ([]MachineRes
 	// configuration's dynamics are seed-insensitive — the first draw would
 	// occur at the same simulated moment for every seed, so if one seed never
 	// reaches it, none does — and its result replicates across the group.
-	// Otherwise every member simulates, with the group's published ladders
-	// adopted.
+	// Otherwise every member simulates.
 	var pending []int
 	replicated := 0
 	for _, g := range order {
@@ -172,7 +161,7 @@ func runTrials(spec *Spec, trials []MachineTrial, opts RunOptions) ([]MachineRes
 		pending = append(pending, rest...)
 	}
 	if _, err := runner.MapErrCtx(opts.Context, opts.Engine.Jobs, pending, func(_ int, i int) (struct{}, error) {
-		r, _, err := simulate(trials[i], opts, ladders)
+		r, _, err := simulate(trials[i], opts, props)
 		if err != nil {
 			return struct{}{}, err
 		}

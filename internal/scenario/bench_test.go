@@ -3,6 +3,8 @@ package scenario
 import (
 	"fmt"
 	"testing"
+
+	"repro/internal/thermal"
 )
 
 // benchScenario runs the 24-machine fleet-diurnal scenario end to end under
@@ -37,4 +39,31 @@ func benchScenario(b *testing.B, integrator string) {
 func BenchmarkFleetScenario(b *testing.B) {
 	b.Run("integrator=leap", func(b *testing.B) { benchScenario(b, "leap") })
 	b.Run("integrator=exact", func(b *testing.B) { benchScenario(b, "exact") })
+}
+
+// BenchmarkFleetColdJob runs one dimbench fleet-cold job per iteration: the
+// 1024-machine fleet-diurnal fleet spread over aisles 6 °C apart, at scale
+// 0.05, with the telemetry and machine hooks set as dimd sets them and one
+// propagator store shared across jobs as dimd shares it. Run it with
+// -benchmem: B/op is the allocation per cold job.
+func BenchmarkFleetColdJob(b *testing.B) {
+	spec, ok := Get("fleet-diurnal")
+	if !ok {
+		b.Fatal("fleet-diurnal missing from the library")
+	}
+	job := spec.Clone()
+	job.Name = "bench-fleet-cold"
+	job.Fleet = FleetSpec{Machines: 1024, BaseSeed: 1 << 24, AmbientSpreadC: 6}
+	opts := RunOptions{
+		PropStore:      thermal.NewPropStore(),
+		TelemetryEvery: 50,
+		OnTelemetry:    func(MachineSample) {},
+		OnMachine:      func(MachineResult) {},
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := RunOpts(job, 0.05, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

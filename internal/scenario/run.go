@@ -8,6 +8,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/machine"
 	"repro/internal/obs"
+	"repro/internal/thermal"
 	"repro/internal/units"
 	"repro/internal/webserver"
 )
@@ -115,6 +116,12 @@ type RunOptions struct {
 	// Engine is the integrator used when the spec names none (leap when
 	// both are empty) and the worker-pool size the fleet fans out across.
 	Engine engine.Config
+	// PropStore, when non-nil, is the leap propagator store every machine
+	// of the run shares — a daemon passes one store to all its runs so each
+	// propagator is built once per topology for its whole lifetime. nil
+	// gives the run a store of its own. Stored propagators are bit-identical
+	// to privately built ones, so the choice never changes output.
+	PropStore *thermal.PropStore
 }
 
 // MachineSample is one in-run telemetry point from a fleet member. It is
@@ -139,8 +146,7 @@ type MachineSample struct {
 
 // measure drives an already-built machine through the trial's warmup and
 // measurement window and collects the per-machine result. It is the one
-// measurement loop every fleet member runs through, whether its machine
-// adopted shared propagators (simulate) or built its own.
+// measurement loop every fleet member runs through.
 func measure(m *machine.Machine, tm1 *dtm.TM1, srv *webserver.Server, t MachineTrial, opts RunOptions) (MachineResult, error) {
 	wt := phaseWarmup.Start()
 	m.RunFor(t.Warmup)
@@ -169,12 +175,19 @@ func measure(m *machine.Machine, tm1 *dtm.TM1, srv *webserver.Server, t MachineT
 	over := false
 	ticks := 0
 	var temps []units.Celsius
+	// Cancellation is polled on the context's Done channel, fetched once:
+	// Context.Err takes the context's mutex, which every worker would
+	// otherwise contend on every tick. A nil channel never fires.
+	var done <-chan struct{}
+	if opts.Context != nil {
+		done = opts.Context.Done()
+	}
 	st := phaseStep.Start()
 	for m.Now() < t.Duration {
-		if opts.Context != nil {
-			if err := opts.Context.Err(); err != nil {
-				return MachineResult{}, err
-			}
+		select {
+		case <-done:
+			return MachineResult{}, opts.Context.Err()
+		default:
 		}
 		step := t.Tick
 		if rem := t.Duration - m.Now(); rem < step {

@@ -173,6 +173,7 @@ func (s *Service) executeClusteredScenario(ctx context.Context, j *Job, w *resum
 		Local: func(ctx context.Context, sh cluster.Shard, skip []int, onRes func(scenario.MachineResult)) error {
 			_, err := scenario.RunShard(r.spec, r.scale, sh.From, sh.To, skip, scenario.RunOptions{
 				Engine:    s.cfg.Engine,
+				PropStore: s.props,
 				Context:   ctx,
 				OnMachine: onRes,
 			})

@@ -117,6 +117,12 @@ func (m *metrics) init(s *Service) {
 		func() int64 { entries, _ := s.cache.stats(); return int64(entries) })
 	intGauge("dimd_cache_bytes", "bytes retained in the result cache",
 		func() int64 { _, bytes := s.cache.stats(); return bytes })
+	r.CounterFunc("dimd_propstore_hits_total", "machines that found their leap propagators already in the store",
+		func() int64 { return s.props.Stats().Hits })
+	r.CounterFunc("dimd_propstore_misses_total", "machines that opened a new topology in the leap propagator store",
+		func() int64 { return s.props.Stats().Misses })
+	intGauge("dimd_propstore_bytes", "bytes of leap propagators held in the store",
+		func() int64 { return s.props.Stats().Bytes })
 
 	r.Text("dimd_sim_seconds_total", "virtual machine-seconds simulated", obs.TypeCounter,
 		func() string { return fmt.Sprintf("%.6f", float64(m.simMicro.Load())/1e6) })

@@ -34,6 +34,7 @@ import (
 	"repro/internal/fleetsched"
 	"repro/internal/obs"
 	"repro/internal/scenario"
+	"repro/internal/thermal"
 )
 
 // Sentinel errors the HTTP layer maps to status codes.
@@ -143,6 +144,10 @@ func (c Config) withDefaults() Config {
 type Service struct {
 	cfg   Config
 	cache *cache
+	// props is the leap propagator store every scenario run of this daemon
+	// shares, local shards and served shards included, so each propagator
+	// is built once per topology for the daemon's lifetime.
+	props *thermal.PropStore
 	met   metrics
 	heat  heatState
 	log   *slog.Logger
@@ -202,6 +207,7 @@ func Open(cfg Config) (*Service, error) {
 	s := &Service{
 		cfg:       cfg,
 		cache:     newCache(cfg.CacheBytes),
+		props:     thermal.NewPropStore(),
 		baseCtx:   ctx,
 		cancelAll: cancel,
 		jobs:      map[string]*Job{},
@@ -706,6 +712,7 @@ func (s *Service) execute(ctx context.Context, j *Job) (*Artifact, error) {
 		// recovered job's come back via Completed, and the rerun skips them.
 		opts := scenario.RunOptions{
 			Engine:         s.cfg.Engine,
+			PropStore:      s.props,
 			Context:        ctx,
 			TelemetryEvery: s.cfg.TelemetryEvery,
 			Trace:          j.trace,

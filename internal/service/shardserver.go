@@ -131,6 +131,7 @@ func (s *Service) handleShardRun(w http.ResponseWriter, r *http.Request) {
 	}
 	_, err = scenario.RunShard(spec, req.Scale, req.Shard.From, req.Shard.To, req.Skip, scenario.RunOptions{
 		Engine:         s.cfg.Engine,
+		PropStore:      s.props,
 		Context:        ctx,
 		TelemetryEvery: s.cfg.TelemetryEvery,
 		OnTelemetry: func(sm scenario.MachineSample) {

@@ -36,6 +36,7 @@ package thermal
 
 import (
 	"math"
+	"sync/atomic"
 
 	"repro/internal/obs"
 	"repro/internal/units"
@@ -94,7 +95,6 @@ const RelinRadiusC = 0.75
 // °C·s integrals are built from, so leap windows account metrics with the
 // same discretisation as step-by-step integration.
 type propLevel struct {
-	built      bool
 	p, u, q, w []float64
 	// Fused row-major apply blocks: row i of pu is [P_i | U_i], of qw is
 	// [Q_i | W_i], applied against the packed vector [T; p] in one
@@ -217,44 +217,38 @@ func sumRows(tempSum []float64, rows []NodeID, qw, xy, diff []float64, correct b
 	}
 }
 
-// propLadder caches the propagators for one step size. Power-of-two chunk
-// lengths live in levels (level 0 comes from the CSR adjacency and the decay
-// cache, level j+1 from squaring level j); arbitrary lengths — whole
-// quiescent windows, whose step counts repeat across millions of injection
-// quanta and workload frames — are composed once from the ladder rungs and
-// memoised in composed, keyed on (dt, n).
+// propLadder is one step size's slot in a network's ladder cache: the store
+// entry the network resolved for it, so leap windows reach their propagators
+// without probing a map. Power-of-two chunk lengths are the entry's ladder
+// rungs (level 0 from the CSR adjacency and the decay factors, level j+1 by
+// squaring level j); arbitrary lengths — whole quiescent windows, whose step
+// counts repeat across millions of injection quanta and workload frames — are
+// composed once from the rungs and published in the entry.
 type propLadder struct {
-	bits   uint64 // Float64bits of the step size; 0 marks an empty ladder
-	used   uint64
-	levels []propLevel
-	// small is the direct-indexed memo for chunk lengths below
-	// leapSmallMax — the overwhelmingly common case (tick-bounded windows
-	// are 50 steps) — so the chunk hot path pays an array index, not a
-	// map lookup. composed backs the rare longer lengths, reset when it
-	// outgrows leapComposedCap.
-	small    [leapSmallMax]*propLevel
-	composed map[int]*propLevel
+	bits uint64 // Float64bits of the step size; 0 marks an empty slot
+	used uint64
+	e    *propEntry
 }
 
 const (
-	// leapSmallMax bounds the direct-indexed composed-propagator memo.
+	// leapSmallMax bounds the direct-indexed composed-window array.
 	leapSmallMax = 64
-	// leapComposedCap bounds the map-backed memo for longer chunks.
+	// leapComposedCap bounds the map-backed memo for longer windows.
 	leapComposedCap = 256
 )
 
 // ladderFor returns the propagator ladder for step size dts, recycling the
-// least-recently-used slot on a miss. Two slots mirror the machine layer's
-// stepping pattern: leap windows only ever use the dominant ThermalStep, the
-// second slot absorbs a reconfigured machine sharing the network.
+// least-recently-used slot on a miss and resolving the slot's entry — from
+// the network's PropStore when it has one, else a private entry. Two slots
+// mirror the machine layer's stepping pattern: leap windows only ever use the
+// dominant ThermalStep, the second slot absorbs a reconfigured machine
+// sharing the network.
 //
 // Eviction is fully deterministic: recency decides, and equal recency
 // stamps — empty slots, or the clean epoch after a counter-wrap reset —
 // break the tie on the step-size key itself rather than on slot position,
 // so the victim never depends on the order step sizes happened to land in
-// slots. With ladders visible fleet-wide through the share cache, a
-// position-dependent choice would make one machine's slot history leak into
-// another's rebuild costs.
+// slots.
 func (n *Network) ladderFor(dts float64) *propLadder {
 	bits := math.Float64bits(dts)
 	tick := n.bumpTick()
@@ -271,6 +265,11 @@ func (n *Network) ladderFor(dts float64) *propLadder {
 	}
 	l := &n.ladders[victim]
 	*l = propLadder{bits: bits, used: tick}
+	if n.store != nil {
+		l.e = n.store.resolve(n, dts)
+	} else {
+		l.e = n.newEntry(dts, nil, new(atomic.Int64))
+	}
 	return l
 }
 
@@ -294,81 +293,68 @@ func (n *Network) bumpTick() uint64 {
 	return n.decayTick
 }
 
-// level returns ladder rung lvl for step size dts, building rungs as
-// needed. With an adopted fleet snapshot, published rungs are used directly
-// (they are bit-identical to what a local build would produce) and local
-// building starts where the snapshot ends.
-func (n *Network) level(lad *propLadder, lvl int, dts float64) *propLevel {
-	ls := n.sharedLadder(lad.bits)
-	if ls != nil && lvl < len(ls.levels) {
-		return ls.levels[lvl]
-	}
-	for len(lad.levels) <= lvl {
-		lad.levels = append(lad.levels, propLevel{})
-	}
-	bt := phaseLadderBuild.Start()
-	built := int64(0)
-	for j := 0; j <= lvl; j++ {
-		if lad.levels[j].built {
-			continue
-		}
-		if ls != nil && j < len(ls.levels) {
-			continue // served from the snapshot when asked for
-		}
-		built++
-		if j == 0 {
-			n.buildBase(&lad.levels[0], dts)
-			continue
-		}
-		src := &lad.levels[j-1]
-		if ls != nil && j-1 < len(ls.levels) {
-			src = ls.levels[j-1]
-		}
-		squareLevel(&lad.levels[j], src, len(n.nodes))
-	}
-	phaseLadderBuild.StopN(bt, built)
-	return &lad.levels[lvl]
-}
-
-// propFor returns the propagator covering exactly c steps: a ladder rung
-// when c is a power of two, otherwise the (dt, n)-memoised composition of
-// the rungs for c's binary digits. One composed propagator turns a whole
-// quiescent window into a single chunk — two heat-model evaluations however
-// many steps the window spans.
-func (n *Network) propFor(lad *propLadder, c int, dts float64) *propLevel {
-	if c&(c-1) == 0 {
-		return n.level(lad, log2(c), dts)
-	}
-	if c < leapSmallMax {
-		if l := lad.small[c]; l != nil {
-			return l
-		}
-	} else if l, ok := lad.composed[c]; ok {
+// level returns the entry's ladder rung lvl, building and publishing it and
+// any missing rung below it. A rung another network published first is used
+// as is: it is bit-identical to what this network would build.
+func (n *Network) level(e *propEntry, lvl int) *propLevel {
+	if l := e.levels[lvl].Load(); l != nil {
 		return l
 	}
-	// Adopted fleet snapshot: published composed windows serve misses
-	// directly — the common case in a homogeneous fleet, whose machines
-	// all leap the same tick-bounded window lengths.
-	if ls := n.sharedLadder(lad.bits); ls != nil {
-		if c < leapSmallMax {
-			if l := ls.small[c]; l != nil {
-				return l
-			}
-		} else if l, ok := ls.composed[c]; ok {
+	j := lvl
+	for j > 0 && e.levels[j-1].Load() == nil {
+		j--
+	}
+	var src *propLevel
+	if j > 0 {
+		src = e.levels[j-1].Load()
+	}
+	bt := phaseLadderBuild.Start()
+	defer phaseLadderBuild.StopN(bt, int64(lvl-j+1))
+	for ; j <= lvl; j++ {
+		l := &propLevel{}
+		if j == 0 {
+			n.buildBase(l, e)
+		} else {
+			squareLevel(l, src, e.nn)
+		}
+		src = e.publish(&e.levels[j], l)
+	}
+	return src
+}
+
+// propFor returns the entry's propagator covering exactly c steps: a ladder
+// rung when c is a power of two, otherwise the composition of the rungs for
+// c's binary digits, built once per entry. One composed propagator turns a
+// whole quiescent window into a single chunk — two heat-model evaluations
+// however many steps the window spans.
+func (n *Network) propFor(e *propEntry, c int) *propLevel {
+	if c&(c-1) == 0 {
+		return n.level(e, log2(c))
+	}
+	if c < leapSmallMax {
+		if l := e.small[c].Load(); l != nil {
 			return l
 		}
+		return e.publish(&e.small[c], n.compose(e, c))
 	}
-	nn := len(n.nodes)
-	// Compose the digits in the ping-pong scratch pair, so only the final
-	// fused blocks — the only state chunks touch — are allocated and
-	// retained.
+	if l := e.long(c); l != nil {
+		return l
+	}
+	return e.publishLong(c, n.compose(e, c))
+}
+
+// compose builds the propagator for c steps from the entry's rungs. The
+// digits are composed in the network's ping-pong scratch pair, so only the
+// final fused blocks — the only state chunks touch — are allocated.
+func (n *Network) compose(e *propEntry, c int) *propLevel {
+	nn := e.nn
 	cur, other := &n.compA, &n.compB
 	first := true
 	for rem, j := c, 0; rem > 0; rem, j = rem>>1, j+1 {
 		if rem&1 == 0 {
 			continue
 		}
-		rung := n.level(lad, j, dts)
+		rung := n.level(e, j)
 		if first {
 			cur.p = append(cur.p[:0], rung.p...)
 			cur.u = append(cur.u[:0], rung.u...)
@@ -381,18 +367,10 @@ func (n *Network) propFor(lad *propLadder, c int, dts float64) *propLevel {
 		cur, other = other, cur
 	}
 	backing := make([]float64, 4*nn*nn)
-	acc := &propLevel{built: true, pu: backing[:2*nn*nn], qw: backing[2*nn*nn:]}
+	acc := &propLevel{pu: backing[:2*nn*nn], qw: backing[2*nn*nn:]}
 	fusePair(acc.pu, cur.p, cur.u, nn)
 	fusePair(acc.qw, cur.q, cur.w, nn)
 	acc.uNorm = rowAbsNorm(cur.u, nn)
-	if c < leapSmallMax {
-		lad.small[c] = acc
-		return acc
-	}
-	if lad.composed == nil || len(lad.composed) >= leapComposedCap {
-		lad.composed = make(map[int]*propLevel, 64)
-	}
-	lad.composed[c] = acc
 	return acc
 }
 
@@ -424,15 +402,16 @@ func log2(c int) int {
 	return l
 }
 
-// buildBase constructs the single-step maps from the flattened topology:
-// row i of M is the exact-exponential Jacobi update Step applies, row i of E
-// scales node i's heat input. Decay factors come from decayFor, so base
-// rungs share the exact kernel's cached exponentials.
-func (n *Network) buildBase(l *propLevel, dts float64) {
+// buildBase constructs the entry's single-step maps from the flattened
+// topology: row i of M is the exact-exponential Jacobi update Step applies,
+// row i of E scales node i's heat input. Decay factors are the entry's, which
+// are the exact kernel's bit for bit.
+func (n *Network) buildBase(l *propLevel, e *propEntry) {
 	nn := len(n.nodes)
+	dts := e.dts
 	l.p = make([]float64, nn*nn)
 	l.u = make([]float64, nn*nn)
-	decay := n.decayFor(dts)
+	decay := e.decay
 	for i := 0; i < nn; i++ {
 		nd := &n.nodes[i]
 		row := l.p[i*nn : (i+1)*nn]
@@ -456,7 +435,6 @@ func (n *Network) buildBase(l *propLevel, dts float64) {
 	l.q = append([]float64(nil), l.p...)
 	l.w = append([]float64(nil), l.u...)
 	l.fuse(nn)
-	l.built = true
 }
 
 // squareLevel doubles a rung: with n = 2^(lvl-1) steps behind (P, U, Q, W),
@@ -475,7 +453,6 @@ func squareLevel(dst, src *propLevel, nn int) {
 		dst.w[i] += src.w[i]
 	}
 	dst.fuse(nn)
-	dst.built = true
 }
 
 // matMul returns a·b into dst (allocated if needed; must not alias a or b).
@@ -509,6 +486,24 @@ func matMulAdd(dst, a, b, c []float64, nn int) []float64 {
 		dst[i] += c[i]
 	}
 	return dst
+}
+
+// absBits returns the bit pattern of |v|. For non-negative floats the bit
+// patterns order as the values do, so the chunk loop's ∞-norms fold them
+// with the integer max, which compiles to a conditional move: no branch to
+// mispredict, and a shorter dependency chain than the float max, whose NaN
+// and signed-zero fix-ups cost several instructions per element. The result
+// is the float max bit for bit for every non-NaN input; a NaN, whose bits
+// exceed +Inf's, propagates, where an `if v > m` loop would skip it.
+func absBits(v float64) uint64 { return math.Float64bits(v) &^ (1 << 63) }
+
+// absMax returns max |v| over xs, +0 for an empty slice (see absBits).
+func absMax(xs []float64) float64 {
+	var m uint64
+	for _, v := range xs {
+		m = max(m, absBits(v))
+	}
+	return math.Float64frombits(m)
 }
 
 // QuiescentSource is a HeatSource that can additionally linearise itself:
@@ -580,7 +575,7 @@ func (n *Network) LeapSteps(k int, dt units.Time, src HeatSource, tempSum []floa
 		n.flatten()
 	}
 	dts := dt.Seconds()
-	lad := n.ladderFor(dts)
+	e := n.ladderFor(dts).e
 	nn := len(n.nodes)
 	xy := n.leapXY
 	pw := xy[nn:] // heat inputs live in the packed [T; p] apply vector
@@ -594,10 +589,7 @@ func (n *Network) LeapSteps(k int, dt units.Time, src HeatSource, tempSum []floa
 		// Try the whole remaining window as one chunk, up to the
 		// controller's current trust 2^leapLevel; the (dt, n) memo makes
 		// arbitrary chunk lengths as cheap as ladder rungs.
-		c := k
-		if max := 1 << n.leapLevel; c > max {
-			c = max
-		}
+		c := min(k, 1<<n.leapLevel)
 		// Heat inputs at the chunk entry: within leapRelin degrees of
 		// the window's last model evaluation a linearised update
 		// suffices — multi-chunk transients pay one evaluation per
@@ -605,17 +597,11 @@ func (n *Network) LeapSteps(k int, dt units.Time, src HeatSource, tempSum []floa
 		var totalA float64
 		relin := false
 		if haveEval && hasLin {
-			var drift float64
+			var drift uint64
 			for i := 0; i < nn; i++ {
-				d := n.temp[i] - evalT[i]
-				if d < 0 {
-					d = -d
-				}
-				if d > drift {
-					drift = d
-				}
+				drift = max(drift, absBits(n.temp[i]-evalT[i]))
 			}
-			relin = drift <= leapRelin
+			relin = math.Float64frombits(drift) <= leapRelin
 		}
 		if relin {
 			for i := 0; i < nn; i++ {
@@ -638,7 +624,7 @@ func (n *Network) LeapSteps(k int, dt units.Time, src HeatSource, tempSum []floa
 		}
 		copy(xy, n.temp)
 		for {
-			l := n.propFor(lad, c, dts)
+			l := n.propFor(e, c)
 			applyRows(tNew, l.pu, 2*nn, xy[:2*nn])
 			// Frozen-power drift Δp across the chunk, first order:
 			// analytically when the source linearises itself, by a
@@ -661,28 +647,11 @@ func (n *Network) LeapSteps(k int, dt units.Time, src HeatSource, tempSum []floa
 			// folded into tNew as the midpoint correction on accept.
 			// The norm pre-check skips the walk (and the correction)
 			// when the drift response is provably negligible.
-			var maxDiff float64
-			for _, v := range diff {
-				if v < 0 {
-					v = -v
-				}
-				if v > maxDiff {
-					maxDiff = v
-				}
-			}
-			bound := l.uNorm * maxDiff
+			bound := l.uNorm * absMax(diff)
 			if bound > leapSkipCorr {
 				// resp = U·Δp into dT (scratch), then its ∞-norm.
 				applyRows(dT[:nn], l.pu[nn:], 2*nn, diff[:nn])
-				bound = 0
-				for _, v := range dT[:nn] {
-					if v < 0 {
-						v = -v
-					}
-					if v > bound {
-						bound = v
-					}
-				}
+				bound = absMax(dT[:nn])
 			}
 			if bound > leapTol && c > 1 {
 				c >>= 1

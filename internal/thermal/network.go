@@ -89,8 +89,10 @@ type Network struct {
 	slots     [decaySlots]decaySlot
 	decayTick uint64
 
-	// Quiescence-leap state: per-step-size propagator ladders plus the
-	// chunk controller's scratch and memory (see leap.go).
+	// Quiescence-leap state: the propagator store the ladders resolve
+	// their entries from (nil: private entries), per-step-size ladder
+	// slots, and the chunk controller's scratch and memory (see leap.go).
+	store     *PropStore
 	ladders   [2]propLadder
 	leapLevel int
 	leapPow   []float64
@@ -109,15 +111,21 @@ type Network struct {
 	leapChunks  uint64
 	leapSteps   uint64
 	leapRejects uint64
-
-	// shared is the adopted fleet-wide propagator/decay snapshot (see
-	// sharecache.go); nil outside batched fleet runs. Consulted read-only
-	// on cache misses, never mutated.
-	shared *PropShare
 }
 
 // NewNetwork returns an empty network.
 func NewNetwork() *Network { return &Network{} }
+
+// SetPropStore makes the network take its leap propagators from s, sharing
+// them with every other network of the same topology that uses s. nil (the
+// default) keeps them private to the network. Shared propagators are
+// bit-identical to private ones, so the choice changes cost, never output.
+func (n *Network) SetPropStore(s *PropStore) {
+	n.store = s
+	for l := range n.ladders {
+		n.ladders[l] = propLadder{}
+	}
+}
 
 // AddNode adds a thermal mass with the given capacitance (J/K) starting at
 // the given temperature, and returns its ID. Capacitance must be positive.
@@ -260,9 +268,6 @@ func (n *Network) flatten() {
 	n.leapXY = make([]float64, 2*nn)
 	n.compA, n.compB = propLevel{}, propLevel{}
 	n.allRows = n.allRows[:0]
-	// A topology change invalidates any adopted fleet snapshot: the shared
-	// propagators were built for the old structure.
-	n.shared = nil
 	n.dirty = false
 }
 
@@ -287,28 +292,25 @@ func (n *Network) decayFor(dts float64) []float64 {
 			victim = i
 		}
 	}
-	// Miss: fill the victim slot, from the fleet-shared snapshot when one
-	// is adopted (bit-identical to recomputing — the factors are a pure
-	// function of the shared topology), else by recomputing.
 	s := &n.slots[victim]
 	s.bits = bits
 	s.used = tick
-	if n.shared != nil {
-		if d, ok := n.shared.decay[bits]; ok {
-			copy(s.decay, d)
-			return s.decay
-		}
-	}
+	n.fillDecay(s.decay, dts)
+	return s.decay
+}
+
+// fillDecay computes every node's decay factor exp(−dts/τ), τ = C/ΣG, into
+// dst; boundary and isolated nodes get 0.
+func (n *Network) fillDecay(dst []float64, dts float64) {
 	for i := range n.nodes {
 		nd := &n.nodes[i]
 		if nd.boundary || nd.gSum == 0 {
-			s.decay[i] = 0
+			dst[i] = 0
 			continue
 		}
 		tau := nd.capJ / nd.gSum
-		s.decay[i] = math.Exp(-dts / tau)
+		dst[i] = math.Exp(-dts / tau)
 	}
-	return s.decay
 }
 
 // Step advances the network by dt with the given heat inputs, using a
