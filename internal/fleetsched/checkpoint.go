@@ -1,11 +1,10 @@
 package fleetsched
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"fmt"
 
+	"repro/internal/digest"
+	"repro/internal/runner"
 	"repro/internal/units"
 )
 
@@ -41,114 +40,70 @@ type Checkpoint struct {
 	Digest string `json:"digest"`
 }
 
-// checkpointJob is one job's entry in the digest ledger. Thread-level progress
-// (WorkDone, CPU time, run state) is already inside the machine digest; this
-// adds the engine's own tracking — identity, placement, migration history and
-// the per-thread assignments remaining work is measured against.
-type checkpointJob struct {
-	ID         int        `json:"id"`
-	Machine    int        `json:"machine"`
-	Migrations int        `json:"migrations"`
-	Done       bool       `json:"done"`
-	DoneAt     units.Time `json:"done_at"`
-	DispatchAt units.Time `json:"dispatch_at"`
-	Assigned   []float64  `json:"assigned"`
+// machineDigests returns every node's machine.State digest, computed on the
+// run's workers. It is called at a round barrier, where no machine advances,
+// and each worker reads only the machines it claims, so the fan-out is
+// race-free and its result is the same at any jobs.
+func machineDigests(jobs int, nodes []*node) []string {
+	return runner.Map(jobs, nodes, func(_ int, n *node) string {
+		return n.m.Checkpoint().Digest()
+	})
 }
 
-// checkpointNode is one fleet member's entry in the digest: the machine's own
-// state digest plus every engine-side field the dispatcher reads or the final
-// accounting folds.
-type checkpointNode struct {
-	Machine string `json:"machine"` // machine.State digest
-
-	Measuring  bool    `json:"measuring"`
-	Over       bool    `json:"over"`
-	Peak       float64 `json:"peak"`
-	ViolationS float64 `json:"violation_s"`
-	Violations int     `json:"violations"`
-
-	EWMA         float64 `json:"ewma"`
-	InjFrac      float64 `json:"inj_frac"`
-	PendingWorkS float64 `json:"pending_work_s"`
-
-	Placed      int `json:"placed"`
-	Completed   int `json:"completed"`
-	MigratedIn  int `json:"migrated_in"`
-	MigratedOut int `json:"migrated_out"`
-
-	Jobs []checkpointJob `json:"jobs"`
-}
-
-// checkpointFleet is the digest's full preimage.
-type checkpointFleet struct {
-	Round      int              `json:"round"`
-	Now        units.Time       `json:"now"`
-	Cursor     int              `json:"cursor"`
-	Dispatched int              `json:"dispatched"`
-	Migrations int              `json:"migrations"`
-	Nodes      []checkpointNode `json:"nodes"`
-}
-
-// fleetDigest fingerprints the whole run at a round barrier. It folds, per
-// node: the machine's full state digest (thermal nodes, RNG words, scheduler
-// ledgers, energy accumulator — see machine.State) and the engine's own
-// violation accounting, placement signals and job ledger; plus the
-// dispatcher's global counters. Capturing machine state here is
-// perturbation-free: the barrier already flushed each machine's lazy thermal
-// window and scheduler accounting via Telemetry, so Checkpoint's own flush
-// covers a zero-length window.
-func fleetDigest(roundNo int, now units.Time, nodes []*node, cursor, dispatched, migrations int) string {
-	fleet := checkpointFleet{
-		Round:      roundNo,
-		Now:        now,
-		Cursor:     cursor,
-		Dispatched: dispatched,
-		Migrations: migrations,
-		Nodes:      make([]checkpointNode, len(nodes)),
-	}
+// fleetDigest fingerprints the whole run at a round barrier. Its preimage is
+// the binary encoding of package digest: the dispatcher's global counters,
+// then per node the machine's full state digest (thermal nodes, RNG words,
+// scheduler ledgers, energy accumulator — see machine.State, precomputed by
+// machineDigests), the engine's violation accounting and placement signals,
+// and its job ledger. Thread-level job progress (WorkDone, CPU time, run
+// state) is already inside the machine digest; the ledger adds the engine's
+// own tracking — identity, placement, migration history and the per-thread
+// assignments remaining work is measured against.
+//
+// Capturing machine state here is perturbation-free: machine.Checkpoint is a
+// pure observation, and the barrier has already flushed each machine's lazy
+// thermal window and scheduler accounting via Telemetry.
+func fleetDigest(roundNo int, now units.Time, nodes []*node, machines []string, cursor, dispatched, migrations int) string {
+	e := digest.New(64 + len(nodes)*256)
+	e.Int(int64(roundNo))
+	e.Int(int64(now))
+	e.Int(int64(cursor))
+	e.Int(int64(dispatched))
+	e.Int(int64(migrations))
+	e.Int(int64(len(nodes)))
 	for i, n := range nodes {
-		cn := checkpointNode{
-			Machine:      n.m.Checkpoint().Digest(),
-			Measuring:    n.measuring,
-			Over:         n.over,
-			Peak:         n.peak,
-			ViolationS:   n.violationS,
-			Violations:   n.violations,
-			EWMA:         n.ewma,
-			InjFrac:      n.injFrac,
-			PendingWorkS: n.pendingWorkS,
-			Placed:       n.placed,
-			Completed:    n.completed,
-			MigratedIn:   n.migratedIn,
-			MigratedOut:  n.migratedOut,
-		}
+		e.String(machines[i])
+		e.Bool(n.measuring)
+		e.Bool(n.over)
+		e.Float64(n.peak)
+		e.Float64(n.violationS)
+		e.Int(int64(n.violations))
+		e.Float64(n.ewma)
+		e.Float64(n.injFrac)
+		e.Float64(n.pendingWorkS)
+		e.Int(int64(n.placed))
+		e.Int(int64(n.completed))
+		e.Int(int64(n.migratedIn))
+		e.Int(int64(n.migratedOut))
+		e.Int(int64(len(n.jobs)))
 		for _, j := range n.jobs {
-			cn.Jobs = append(cn.Jobs, checkpointJob{
-				ID:         j.ID,
-				Machine:    j.Machine,
-				Migrations: j.Migrations,
-				Done:       j.done,
-				DoneAt:     j.DoneAt,
-				DispatchAt: j.DispatchAt,
-				Assigned:   j.assigned,
-			})
+			e.Int(int64(j.ID))
+			e.Int(int64(j.Machine))
+			e.Int(int64(j.Migrations))
+			e.Bool(j.done)
+			e.Int(int64(j.DoneAt))
+			e.Int(int64(j.DispatchAt))
+			e.Float64s(j.assigned)
 		}
-		fleet.Nodes[i] = cn
 	}
-	raw, err := json.Marshal(fleet)
-	if err != nil {
-		// Plain data; Marshal cannot fail on it.
-		panic(fmt.Sprintf("fleetsched: marshaling fleet checkpoint: %v", err))
-	}
-	sum := sha256.Sum256(raw)
-	return hex.EncodeToString(sum[:])
+	return e.Hex()
 }
 
 // verifyResume checks a replayed fleet against the checkpoint it is resuming
 // from, returning a descriptive error on the first divergence. The digest
 // comparison is the real gate; the named-field checks in front of it exist so
 // an operator sees "cursor 14 != 17", not just two hashes.
-func verifyResume(cp *Checkpoint, roundNo int, now units.Time, nodes []*node, cursor, dispatched, migrations int) error {
+func verifyResume(cp *Checkpoint, jobs, roundNo int, now units.Time, nodes []*node, cursor, dispatched, migrations int) error {
 	switch {
 	case cursor != cp.Cursor:
 		return fmt.Errorf("resume divergence at round %d: arrival cursor %d != checkpoint %d", roundNo, cursor, cp.Cursor)
@@ -157,7 +112,7 @@ func verifyResume(cp *Checkpoint, roundNo int, now units.Time, nodes []*node, cu
 	case migrations != cp.Migrations:
 		return fmt.Errorf("resume divergence at round %d: migrations %d != checkpoint %d", roundNo, migrations, cp.Migrations)
 	}
-	if got := fleetDigest(roundNo, now, nodes, cursor, dispatched, migrations); got != cp.Digest {
+	if got := fleetDigest(roundNo, now, nodes, machineDigests(jobs, nodes), cursor, dispatched, migrations); got != cp.Digest {
 		return fmt.Errorf("resume divergence at round %d (t=%.3fs): fleet digest %s != checkpoint %s", roundNo, now.Seconds(), shortHash(got), shortHash(cp.Digest))
 	}
 	return nil

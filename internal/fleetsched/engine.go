@@ -477,7 +477,7 @@ func RunOpts(spec *scenario.Spec, policyName string, scale float64, opts Options
 		// digest must match before the run is allowed to continue.
 		replaying := opts.Resume != nil && roundNo <= opts.Resume.Round
 		if replaying && roundNo == opts.Resume.Round {
-			if err := verifyResume(opts.Resume, roundNo, now, nodes, cursor, dispatched, migrations); err != nil {
+			if err := verifyResume(opts.Resume, opts.Engine.Jobs, roundNo, now, nodes, cursor, dispatched, migrations); err != nil {
 				return nil, fmt.Errorf("fleetsched: scenario %q: %w", spec.Name, err)
 			}
 			resumed = true
@@ -493,7 +493,7 @@ func RunOpts(spec *scenario.Spec, policyName string, scale float64, opts Options
 					Cursor:     cursor,
 					Dispatched: dispatched,
 					Migrations: migrations,
-					Digest:     fleetDigest(roundNo, now, nodes, cursor, dispatched, migrations),
+					Digest:     fleetDigest(roundNo, now, nodes, machineDigests(opts.Engine.Jobs, nodes), cursor, dispatched, migrations),
 				}
 				if opts.OnCheckpoint != nil {
 					opts.OnCheckpoint(cp)

@@ -1,11 +1,9 @@
 package machine
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"fmt"
 
+	"repro/internal/digest"
 	"repro/internal/units"
 )
 
@@ -117,18 +115,44 @@ func (m *Machine) Checkpoint() State {
 	return st
 }
 
-// Digest returns the state's content hash: sha256 over its canonical JSON
-// encoding (struct field order is fixed, float64s encode shortest-round-trip,
-// so equal states digest equally and unequal states — down to a single RNG
-// word or nanodegree — do not).
+// Digest returns the state's content hash: sha256 over its fixed binary
+// encoding (package digest) — every field in declaration order, integers and
+// float64 bit patterns as 8 little-endian bytes, a length before every slice
+// and string. Equal states digest equally and unequal states, down to a
+// single RNG word or one ulp of one temperature, do not. The hex form keeps
+// a persisted checkpoint's digest a 64-character string.
 func (s State) Digest() string {
-	raw, err := json.Marshal(s)
-	if err != nil {
-		// State is plain data; Marshal cannot fail on it.
-		panic(fmt.Sprintf("machine: marshaling checkpoint state: %v", err))
+	e := digest.New(128 + 8*(len(s.NodeTempsC)+len(s.TempIntegralCs)+2*len(s.CoreBusy)) + 80*len(s.Threads))
+	e.Int(int64(s.Now))
+	e.Uint64(s.ChipEpoch)
+	e.Uint64(s.EventsFired)
+	e.Float64s(s.NodeTempsC)
+	e.Float64s(s.TempIntegralCs)
+	e.Float64(s.EnergyJ)
+	e.Int(int64(s.EnergySpan))
+	for _, w := range s.RNG {
+		e.Uint64(w)
 	}
-	sum := sha256.Sum256(raw)
-	return hex.EncodeToString(sum[:])
+	for _, ts := range [][]units.Time{s.CoreBusy, s.CoreInjected} {
+		e.Int(int64(len(ts)))
+		for _, t := range ts {
+			e.Int(int64(t))
+		}
+	}
+	e.Int(int64(s.Injections))
+	e.Int(int64(s.Steals))
+	e.Int(int64(s.QueueLen))
+	e.Int(int64(len(s.Threads)))
+	for _, th := range s.Threads {
+		e.Int(int64(th.ID))
+		e.String(th.Name)
+		e.Int(int64(th.ProcessID))
+		e.String(th.State)
+		e.Float64(th.WorkDone)
+		e.Float64(th.Remaining)
+		e.Int(int64(th.CPUTime))
+	}
+	return e.Hex()
 }
 
 // Restore verifies that this machine — deterministically replayed to the

@@ -1,12 +1,10 @@
 package machine
 
 import (
-	"fmt"
-	"strconv"
-	"strings"
 	"sync"
 
 	"repro/internal/cpu"
+	"repro/internal/digest"
 	"repro/internal/units"
 )
 
@@ -33,7 +31,7 @@ type idleSolution struct {
 // pure memo only costs re-solves, never different output.
 var idleCache struct {
 	sync.Mutex
-	m map[string]*idleSolution // fingerprint -> solution
+	m map[[32]byte]*idleSolution // fingerprint -> solution
 }
 
 // maxIdleSolutions bounds idleCache: one 1024-machine fleet's worth of
@@ -44,34 +42,37 @@ const maxIdleSolutions = 1024
 // processor model (leakage and idle-power constants), the RC path and ambient,
 // the hotspot variant, the sensor placement, and the leakage-temperature
 // coupling. Fields that cannot reach the solve (seed, scheduler, meter,
-// integration step) are deliberately excluded. Floats are rendered with
-// strconv's exact hex representation — unit newtypes have lossy few-digit
-// String() methods, so %v formatting would let thermally distinct configs
-// collide on one key.
-func idleFingerprint(cfg *Config, coupling float64) string {
-	var b strings.Builder
-	f := func(vals ...float64) {
-		for _, v := range vals {
-			b.WriteString(strconv.FormatFloat(v, 'x', -1, 64))
-			b.WriteByte('|')
-		}
-	}
+// integration step) are deliberately excluded. The key is the sha256 of the
+// inputs' exact binary encoding (float64 bit patterns, length-prefixed name
+// and P-state ladder), so thermally distinct configs never share a key even
+// where the unit newtypes' few-digit String() methods would print them alike.
+func idleFingerprint(cfg *Config, coupling float64) [32]byte {
 	m := cfg.Model
-	fmt.Fprintf(&b, "%s|%d|%d|%d|", m.Name, m.NumCores, m.TCCDutySteps, int64(m.C1ELatency))
+	e := digest.New(len(m.Name) + 16*len(m.PStates) + 224)
+	e.String(m.Name)
+	e.Int(int64(m.NumCores))
+	e.Int(int64(m.TCCDutySteps))
+	e.Int(int64(m.C1ELatency))
+	e.Int(int64(len(m.PStates)))
 	for _, ps := range m.PStates {
-		f(float64(ps.Freq), ps.Voltage)
+		e.Float64(float64(ps.Freq))
+		e.Float64(ps.Voltage)
 	}
-	f(float64(m.CoreDynamicMax), float64(m.LeakNominal), float64(m.LeakRefTemp),
+	for _, v := range [...]float64{
+		float64(m.CoreDynamicMax), float64(m.LeakNominal), float64(m.LeakRefTemp),
 		float64(m.LeakSlope), m.C1ELeakFactor, float64(m.C1EResidual),
-		float64(m.UncoreActive), float64(m.UncoreAllIdle), m.TCCResidualDyn, m.LeakCapFactor)
-	f(float64(cfg.Ambient),
+		float64(m.UncoreActive), float64(m.UncoreAllIdle), m.TCCResidualDyn, m.LeakCapFactor,
+		float64(cfg.Ambient),
 		cfg.RJunctionPackage, cfg.RPackageSink, cfg.RSinkAmbient,
 		cfg.CJunction, cfg.CPackage, cfg.CSink,
 		cfg.FanFactor,
 		cfg.HotspotFraction, cfg.RHotspotJunction, cfg.CHotspot,
-		coupling)
-	fmt.Fprintf(&b, "%t", cfg.SenseHotspot)
-	return b.String()
+		coupling,
+	} {
+		e.Float64(v)
+	}
+	e.Bool(cfg.SenseHotspot)
+	return e.Sum()
 }
 
 // idleSolve returns the all-idle equilibrium for cfg at the given leakage
@@ -94,7 +95,7 @@ func idleSolve(cfg *Config, coupling float64, path *ThermalPath, chip *cpu.Chip)
 	}
 	idleCache.Lock()
 	if idleCache.m == nil || len(idleCache.m) >= maxIdleSolutions {
-		idleCache.m = make(map[string]*idleSolution)
+		idleCache.m = make(map[[32]byte]*idleSolution)
 	}
 	idleCache.m[key] = sol
 	idleCache.Unlock()

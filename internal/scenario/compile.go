@@ -110,7 +110,7 @@ func (s *Spec) CompileFor(scale float64, integrator string) []MachineTrial {
 		amb := s.Machine.AmbientC
 		if s.Fleet.AmbientSpreadC > 0 {
 			if amb <= 0 {
-				amb = float64(machine.DefaultConfig().Ambient)
+				amb = float64(baseConfig.Ambient)
 			}
 			amb += s.Fleet.AmbientSpreadC * idDraws.Float64()
 		}
@@ -152,10 +152,19 @@ func (t *MachineTrial) Build() (*machine.Machine, *dtm.TM1, *webserver.Server, e
 	return m, tm1, srv, nil
 }
 
-// machineConfig builds the testbed configuration for one trial.
-func (t *MachineTrial) machineConfig() machine.Config {
+// baseConfig is every trial's starting configuration: the testbed default
+// with the power meter off. Its Model is built once and shared read-only by
+// every trial's machine; no code writes a cpu.Model after construction, and
+// the Cores override below copies it first.
+var baseConfig = func() machine.Config {
 	cfg := machine.DefaultConfig()
 	cfg.Meter.Disabled = true
+	return cfg
+}()
+
+// machineConfig builds the testbed configuration for one trial.
+func (t *MachineTrial) machineConfig() machine.Config {
+	cfg := baseConfig
 	cfg.Seed = t.Seed
 	cfg.FanFactor = t.FanFactor
 	ms := t.Spec.Machine

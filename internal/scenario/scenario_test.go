@@ -2,9 +2,11 @@ package scenario
 
 import (
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/cpu"
 	"repro/internal/engine"
 	"repro/internal/units"
 )
@@ -188,6 +190,39 @@ func TestRunSmallFleetEndToEnd(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("rendered output missing %q", want)
 		}
+	}
+}
+
+// Every trial's machine shares one default cpu.Model; no policy, aisle
+// spread or core-count override may write to it.
+func TestSharedModelStaysPristine(t *testing.T) {
+	for _, p := range []PolicySpec{
+		{Kind: PolicyDimetrodon, P: 0.5, LMS: 10, TM1: true},
+		{Kind: PolicyVFS, PState: 3},
+		{Kind: PolicyP4TCC, Duty: 0.5},
+		{Kind: PolicyAdaptive},
+	} {
+		for _, cores := range []int{0, 2} {
+			spec := &Spec{
+				Name:       "shared-model",
+				Fleet:      FleetSpec{Machines: 3, BaseSeed: 11, AmbientSpreadC: 6},
+				Machine:    MachineSpec{Cores: cores},
+				Workload:   []ComponentSpec{{Kind: KindBurn, Threads: 2}},
+				Policy:     p,
+				DurationS:  20,
+				WarmupFrac: 0.25,
+			}
+			trials := spec.Compile(0.1)
+			if cfg := trials[0].machineConfig(); (cfg.Model == baseConfig.Model) != (cores == 0) {
+				t.Fatalf("%s cores=%d: trial model shared=%v", p.Kind, cores, cfg.Model == baseConfig.Model)
+			}
+			if _, err := Run(spec, 0.1); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if !reflect.DeepEqual(baseConfig.Model, cpu.NewXeonE5520()) {
+		t.Fatalf("a fleet run wrote to the shared model: %+v", *baseConfig.Model)
 	}
 }
 
