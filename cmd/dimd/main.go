@@ -59,7 +59,6 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/faultinject"
-	"repro/internal/obs"
 	"repro/internal/service"
 )
 
@@ -95,7 +94,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 	sloMinEvents := fs.Int("slo-min-events", 0, "minimum new observations before an SLO window evaluates; 0 = default (8)")
 	logFormat := fs.String("log-format", "text", "structured log format on stderr: text, json or off")
 	logLevel := fs.String("log-level", "info", "minimum structured log level: debug, info, warn or error")
-	profilePhases := fs.Bool("profile-phases", false, "accumulate engine phase timings (exported as dimd_phase_seconds_total)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -119,7 +117,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		fmt.Fprintf(stderr, "dimd: %v\n", err)
 		return 2
 	}
-	obs.EnableProfiling(*profilePhases)
 
 	var workerURLs []string
 	switch *role {

@@ -18,15 +18,6 @@ import (
 	"repro/internal/workload"
 )
 
-// Phase profiler accumulators for the scheduled engine: fleet construction
-// and the parallel advance phase between round barriers. Dispatch itself is
-// single-threaded and tiny; the advance phase is where the simulation time
-// goes.
-var (
-	phaseSchedBuild   = obs.RegisterPhase("sched.build")
-	phaseSchedAdvance = obs.RegisterPhase("sched.advance")
-)
-
 // traceRoundSpans bounds per-round trace spans: early rounds show the
 // dispatch/advance cadence; ten thousand more would only rotate the span
 // budget.
@@ -373,12 +364,10 @@ func RunOpts(spec *scenario.Spec, policyName string, scale float64, opts Options
 	}
 
 	spBuild := opts.Trace.Start("build", "sched", 0)
-	bt := phaseSchedBuild.Start()
 	trials := spec.CompileFor(scale, opts.Engine.Integrator)
 	nodes, err := runner.MapErr(opts.Engine.Jobs, trials, func(_ int, t scenario.MachineTrial) (*node, error) {
 		return buildNode(t)
 	})
-	phaseSchedBuild.StopN(bt, int64(len(trials)))
 	spBuild.EndArgs(map[string]any{"machines": len(trials)})
 	if err != nil {
 		return nil, fmt.Errorf("fleetsched: scenario %q: %w", spec.Name, err)
@@ -506,14 +495,12 @@ func RunOpts(spec *scenario.Spec, policyName string, scale float64, opts Options
 		if roundNo <= traceRoundSpans {
 			spRound = opts.Trace.Start(fmt.Sprintf("round-%04d", roundNo-1), "sched", 0)
 		}
-		at := phaseSchedAdvance.Start()
 		if _, err := runner.MapCtx(opts.Context, opts.Engine.Jobs, nodes, func(_ int, n *node) struct{} {
 			n.advance(next, units.Celsius(violC))
 			return struct{}{}
 		}); err != nil {
 			return nil, fmt.Errorf("fleetsched: scenario %q: %w", spec.Name, err)
 		}
-		phaseSchedAdvance.StopN(at, int64(len(nodes)))
 		spRound.EndArgs(map[string]any{"now_s": next.Seconds()})
 		now = next
 	}

@@ -8,14 +8,13 @@ import (
 )
 
 // TestObservabilityNonPerturbing mirrors the scenario package's contract test
-// over the cross-machine scheduler engine: a traced, profiled, telemetry-
-// streaming run renders byte-identically to a silent one, for every scheduled
-// library scenario. The scheduler engine is the hardest case — round-barrier
+// over the cross-machine scheduler engine: a traced, telemetry-streaming run
+// renders byte-identically to a silent one, for every scheduled library
+// scenario. The scheduler engine is the hardest case — round-barrier
 // spans interleave with the dispatch loop — so this is where a state-touching
 // instrument would surface first.
 func TestObservabilityNonPerturbing(t *testing.T) {
 	const scale = 0.05
-	defer obs.EnableProfiling(false)
 	covered := 0
 	for _, name := range scenario.Names() {
 		spec, _ := scenario.Get(name)
@@ -24,13 +23,11 @@ func TestObservabilityNonPerturbing(t *testing.T) {
 		}
 		covered++
 
-		obs.EnableProfiling(false)
 		silent, err := RunOpts(spec, "", scale, Options{})
 		if err != nil {
 			t.Fatalf("%s: silent run: %v", name, err)
 		}
 
-		obs.EnableProfiling(true)
 		tr := obs.NewTracer()
 		rounds := 0
 		observed, err := RunOpts(spec, "", scale, Options{

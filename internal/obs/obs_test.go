@@ -175,67 +175,9 @@ func TestTracerSpanBound(t *testing.T) {
 	}
 }
 
-func TestPhaseProfiler(t *testing.T) {
-	ResetProfile()
-	p := RegisterPhase("test.phase")
-	if p != RegisterPhase("test.phase") {
-		t.Fatal("RegisterPhase is not idempotent")
-	}
-
-	// Disabled: Start returns the zero time and Stop accumulates nothing.
-	EnableProfiling(false)
-	p.Stop(p.Start())
-	for _, s := range ProfileSnapshot() {
-		if s.Name == "test.phase" && (s.Count != 0 || s.NS != 0) {
-			t.Fatalf("disabled profiler accumulated: %+v", s)
-		}
-	}
-
-	EnableProfiling(true)
-	defer EnableProfiling(false)
-	t0 := p.Start()
-	time.Sleep(time.Millisecond)
-	p.StopN(t0, 3)
-	found := false
-	for _, s := range ProfileSnapshot() {
-		if s.Name != "test.phase" {
-			continue
-		}
-		found = true
-		if s.Count != 3 || s.NS <= 0 {
-			t.Fatalf("bad stat: %+v", s)
-		}
-		if s.PerCallNS() <= 0 {
-			t.Fatalf("PerCallNS = %v", s.PerCallNS())
-		}
-	}
-	if !found {
-		t.Fatal("phase missing from snapshot")
-	}
-	if !strings.Contains(ProfileReport(), "test.phase") {
-		t.Fatal("ProfileReport missing phase")
-	}
-
-	var b strings.Builder
-	CollectPhases(&b)
-	if !strings.Contains(b.String(), `dimd_phase_seconds_total{phase="test.phase"}`) {
-		t.Fatalf("CollectPhases missing phase:\n%s", b.String())
-	}
-
-	// Off again: the collector must emit nothing, keeping the default
-	// /metrics document golden-stable.
-	EnableProfiling(false)
-	b.Reset()
-	CollectPhases(&b)
-	if b.Len() != 0 {
-		t.Fatalf("CollectPhases emitted while disabled:\n%s", b.String())
-	}
-}
-
 // TestConcurrentObservability is the 64-lane race pass over every obs
-// primitive: counters, histogram observes, gauge renders, span recording,
-// trace export, and profiler accumulation all concurrent. Run with -race in
-// CI.
+// primitive: counters, histogram observes, gauge renders, span recording and
+// trace export all concurrent. Run with -race in CI.
 func TestConcurrentObservability(t *testing.T) {
 	const lanes = 64
 	r := NewRegistry()
@@ -243,9 +185,6 @@ func TestConcurrentObservability(t *testing.T) {
 	h := r.Histogram("race_seconds", "x", nil)
 	r.Gauge("race_depth", "x", func() float64 { return float64(c.Load()) })
 	tr := NewTracer()
-	EnableProfiling(true)
-	defer EnableProfiling(false)
-	p := RegisterPhase("race.phase")
 
 	var wg sync.WaitGroup
 	for i := 0; i < lanes; i++ {
@@ -256,7 +195,6 @@ func TestConcurrentObservability(t *testing.T) {
 				c.Inc()
 				h.Observe(float64(k) * 1e-6)
 				s := tr.Start("work", "race", lane)
-				p.Stop(p.Start())
 				s.End()
 				if k%50 == 0 {
 					var b strings.Builder
@@ -264,7 +202,6 @@ func TestConcurrentObservability(t *testing.T) {
 					if _, err := tr.ChromeTrace(); err != nil {
 						t.Error(err)
 					}
-					_ = ProfileSnapshot()
 				}
 			}
 		}(i)
@@ -278,29 +215,6 @@ func TestConcurrentObservability(t *testing.T) {
 	}
 	if tr.Len()+tr.Dropped() != lanes*200 {
 		t.Fatalf("spans+dropped = %d, want %d", tr.Len()+tr.Dropped(), lanes*200)
-	}
-}
-
-// BenchmarkPhaseDisabled pins the profiler's disabled fast path — one atomic
-// load — the cost every instrumented tick pays when profiling is off.
-func BenchmarkPhaseDisabled(b *testing.B) {
-	EnableProfiling(false)
-	p := RegisterPhase("bench.disabled")
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		p.Stop(p.Start())
-	}
-}
-
-// BenchmarkPhaseEnabled measures the enabled cost (two clock reads + two
-// atomic adds) — what a profiled metric tick pays.
-func BenchmarkPhaseEnabled(b *testing.B) {
-	EnableProfiling(true)
-	defer EnableProfiling(false)
-	p := RegisterPhase("bench.enabled")
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		p.Stop(p.Start())
 	}
 }
 

@@ -102,8 +102,8 @@ func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
 }
 
 // Collect registers a free-form collector rendered after every registered
-// metric — the seam for dynamically keyed series like the phase profiler's
-// per-phase accumulators. The collector must emit complete, well-formed
+// metric — the seam for dynamically keyed series like the daemon's per-layer
+// job times. The collector must emit complete, well-formed
 // exposition lines (including its own # HELP/# TYPE preamble).
 func (r *Registry) Collect(fn func(b *strings.Builder)) {
 	r.mu.Lock()

@@ -141,6 +141,23 @@ func (t *Tracer) Dropped() int {
 	return t.dropped
 }
 
+// EachOwn calls fn with the name, category and duration of every complete
+// span this tracer recorded itself, in recording order — not instants, and
+// not the spans Import stitched in from another process. fn runs under the
+// tracer's lock and must not call back into it. Safe on a nil tracer.
+func (t *Tracer) EachOwn(fn func(name, cat string, durNS int64)) {
+	if t == nil {
+		return
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, s := range t.spans {
+		if s.pid == 0 && s.phase == 'X' {
+			fn(s.name, s.cat, s.durNS)
+		}
+	}
+}
+
 // chromeEvent is one element of the Chrome trace-event JSON array.
 type chromeEvent struct {
 	Name string         `json:"name"`

@@ -4,13 +4,15 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/thermal"
 )
 
 // benchScenario runs the 24-machine fleet-diurnal scenario end to end under
 // the given integrator; one iteration is a whole fleet run across the
-// runner pool.
-func benchScenario(b *testing.B, integrator string) {
+// runner pool. traced gives each run its own span tracer, as dimd gives each
+// job one.
+func benchScenario(b *testing.B, integrator string, traced bool) {
 	b.Helper()
 	const benchScale = 0.15
 	spec, ok := Get("fleet-diurnal")
@@ -21,7 +23,11 @@ func benchScenario(b *testing.B, integrator string) {
 	pinned.Machine.Integrator = integrator
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := Run(&pinned, benchScale)
+		var opts RunOptions
+		if traced {
+			opts.Trace = obs.NewTracer()
+		}
+		res, err := RunOpts(&pinned, benchScale, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -37,9 +43,14 @@ func benchScenario(b *testing.B, integrator string) {
 // scripts/bench.sh records both in BENCH_results.json so the leap speedup is
 // tracked alongside the exact baseline.
 func BenchmarkFleetScenario(b *testing.B) {
-	b.Run("integrator=leap", func(b *testing.B) { benchScenario(b, "leap") })
-	b.Run("integrator=exact", func(b *testing.B) { benchScenario(b, "exact") })
+	b.Run("integrator=leap", func(b *testing.B) { benchScenario(b, "leap", false) })
+	b.Run("integrator=exact", func(b *testing.B) { benchScenario(b, "exact", false) })
 }
+
+// BenchmarkFleetScenarioTraced is BenchmarkFleetScenario's leap run with a
+// span tracer, the daemon's one timing record per job: its ns/op against the
+// untraced integrator=leap run is what tracing costs a fleet job.
+func BenchmarkFleetScenarioTraced(b *testing.B) { benchScenario(b, "leap", true) }
 
 // BenchmarkFleetColdJob runs one dimbench fleet-cold job per iteration: the
 // 1024-machine fleet-diurnal fleet spread over aisles 6 °C apart, at scale

@@ -107,3 +107,11 @@ func TestEnginesRunConcurrently(t *testing.T) {
 		}
 	}
 }
+
+func mustGetT(t *testing.T, name string) *Spec {
+	spec, ok := Get(name)
+	if !ok {
+		t.Fatalf("scenario %q missing from the library", name)
+	}
+	return spec
+}

@@ -81,7 +81,6 @@ func aggregate(spec *Spec, machines []MachineResult) FleetAgg {
 // former per-quantile Percentile calls without their six full-fleet
 // copy+sorts.
 func aggregateFrom(spec *Spec, n int, at func(int) *MachineResult) FleetAgg {
-	defer phaseAggregate.Stop(phaseAggregate.Start())
 	var agg FleetAgg
 	means := make([]float64, n)
 	peaks := make([]float64, n)

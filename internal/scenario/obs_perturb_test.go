@@ -11,14 +11,13 @@ import (
 )
 
 // TestObservabilityNonPerturbing pins the load-bearing contract of the obs
-// layer: tracing, telemetry streaming and phase profiling read only the wall
-// clock and already-computed metric-loop observables, never simulation state.
+// layer: tracing and telemetry streaming read only the wall clock and
+// already-computed metric-loop observables, never simulation state.
 // Every library scenario must therefore produce byte-identical rendered
 // output and CSV artefacts with full observability enabled and disabled —
 // across both integrators and both fleet engines.
 func TestObservabilityNonPerturbing(t *testing.T) {
 	const scale = 0.02
-	defer obs.EnableProfiling(false)
 	for _, name := range Names() {
 		spec, _ := Get(name)
 		if spec.Scheduler != nil {
@@ -27,14 +26,12 @@ func TestObservabilityNonPerturbing(t *testing.T) {
 		for _, integ := range []string{machine.IntegratorExact, machine.IntegratorLeap} {
 			label := fmt.Sprintf("%s/%s", name, integ)
 
-			obs.EnableProfiling(false)
 			ec := engine.Config{Integrator: integ}
 			silent, err := RunOpts(spec, scale, RunOptions{Engine: ec})
 			if err != nil {
 				t.Fatalf("%s: silent run: %v", label, err)
 			}
 
-			obs.EnableProfiling(true)
 			tr := obs.NewTracer()
 			rec := obs.NewFlightRecorder(256)
 			tr.SetSink(func(name, cat string, durNS int64) {

@@ -13,17 +13,6 @@ import (
 	"repro/internal/webserver"
 )
 
-// Phase profiler accumulators for the fleet engine. They wrap the
-// coarse phases around the thermal kernel — never the kernel's inner step —
-// so profiling on or off never touches the hot loop's timings, and the
-// disabled cost is one atomic load per phase entry.
-var (
-	phaseCompile   = obs.RegisterPhase("scenario.compile")
-	phaseWarmup    = obs.RegisterPhase("scenario.warmup")
-	phaseStep      = obs.RegisterPhase("scenario.step")
-	phaseAggregate = obs.RegisterPhase("scenario.aggregate")
-)
-
 // traceMachineSpans bounds how many fleet members get their own trace span:
 // the first 64 machines tell the story; a million-machine fleet must not
 // balloon (or rotate out) the job's span budget.
@@ -148,9 +137,7 @@ type MachineSample struct {
 // measurement window and collects the per-machine result. It is the one
 // measurement loop every fleet member runs through.
 func measure(m *machine.Machine, tm1 *dtm.TM1, srv *webserver.Server, t MachineTrial, opts RunOptions) (MachineResult, error) {
-	wt := phaseWarmup.Start()
 	m.RunFor(t.Warmup)
-	phaseWarmup.Stop(wt)
 	cores := m.Config().Model.NumCores * m.Config().SMTContexts
 	var busy0, inj0 units.Time
 	for c := 0; c < cores; c++ {
@@ -182,7 +169,6 @@ func measure(m *machine.Machine, tm1 *dtm.TM1, srv *webserver.Server, t MachineT
 	if opts.Context != nil {
 		done = opts.Context.Done()
 	}
-	st := phaseStep.Start()
 	for m.Now() < t.Duration {
 		select {
 		case <-done:
@@ -232,7 +218,6 @@ func measure(m *machine.Machine, tm1 *dtm.TM1, srv *webserver.Server, t MachineT
 			})
 		}
 	}
-	phaseStep.StopN(st, int64(ticks))
 
 	secs := (m.Now() - t0).Seconds()
 	res.MeanJunction = (m.MeanJunctionIntegral() - i0) / secs
@@ -319,12 +304,10 @@ func RunOpts(spec *Spec, scale float64, opts RunOptions) (*Result, error) {
 }
 
 // compile resolves a validated spec's fleet under the run's engine, inside
-// the compile phase and trace span.
+// the compile trace span.
 func compile(spec *Spec, scale float64, opts RunOptions) []MachineTrial {
 	sp := opts.Trace.Start("compile", "scenario", 0)
-	ct := phaseCompile.Start()
 	trials := spec.CompileFor(scale, opts.Engine.Integrator)
-	phaseCompile.Stop(ct)
 	sp.EndArgs(map[string]any{"machines": len(trials)})
 	return trials
 }

@@ -2,7 +2,10 @@ package service
 
 import (
 	"fmt"
+	"sort"
 	"strconv"
+	"strings"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/cluster"
@@ -70,6 +73,11 @@ type metrics struct {
 	snapshotSeconds *obs.Histogram // snapshot capture latency
 	incidents       *obs.Counter   // incident dumps recorded (auto + forced)
 	sloBreaches     *obs.Counter   // SLO burn-rate breach transitions detected
+
+	// Finished jobs' own span time per "<category>.<name>" layer, in
+	// nanoseconds (foldLayers); rendered as dimd_job_layer_seconds_total.
+	layerMu sync.Mutex
+	layerNS map[string]int64
 }
 
 // init builds the registry. Registration order is the legacy render order —
@@ -188,9 +196,9 @@ func (m *metrics) init(s *Service) {
 	m.incidents = r.Counter("dimd_incidents_total", "flight-recorder incident dumps recorded")
 	m.sloBreaches = r.Counter("dimd_slo_breaches_total", "SLO burn-rate breach transitions")
 
-	// Per-worker health/progress series, labeled by worker URL — dynamic like
-	// the phase profiler's, so they live outside the pinned name list and
-	// render nothing on non-coordinators.
+	// Per-worker health/progress series, labeled by worker URL — dynamic, so
+	// they live outside the pinned name list and render nothing on
+	// non-coordinators.
 	workerSamples := func(val func(ws cluster.WorkerStatus) float64) func() []obs.LabeledSample {
 		return func() []obs.LabeledSample {
 			if s.clu == nil {
@@ -220,9 +228,40 @@ func (m *metrics) init(s *Service) {
 			return float64(ws.ShardErrors)
 		}))
 
-	// The phase profiler's per-phase series render after everything else, and
-	// only while profiling is enabled — the default document stays pinned.
-	r.Collect(obs.CollectPhases)
+	// Per-layer job times render after everything else, and only once a job
+	// has finished — the boot document stays pinned.
+	m.layerNS = map[string]int64{}
+	r.Labeled("dimd_job_layer_seconds_total", "wall seconds finished jobs spent per traced layer",
+		obs.TypeCounter, "layer", m.layerSamples)
+}
+
+// foldLayers adds one finished job's own lifecycle, scenario and sched span
+// times to dimd_job_layer_seconds_total, so /metrics and the job's trace name
+// the same layers. Per-machine spans, the sampled round-NNNN spans and spans
+// imported from cluster workers stay in the trace only.
+func (m *metrics) foldLayers(tr *obs.Tracer) {
+	m.layerMu.Lock()
+	defer m.layerMu.Unlock()
+	tr.EachOwn(func(name, cat string, durNS int64) {
+		switch cat {
+		case "lifecycle", "scenario", "sched":
+			if !strings.HasPrefix(name, "round-") {
+				m.layerNS[cat+"."+name] += durNS
+			}
+		}
+	})
+}
+
+// layerSamples renders the per-layer totals in seconds, sorted by layer.
+func (m *metrics) layerSamples() []obs.LabeledSample {
+	m.layerMu.Lock()
+	defer m.layerMu.Unlock()
+	out := make([]obs.LabeledSample, 0, len(m.layerNS))
+	for layer, ns := range m.layerNS {
+		out = append(out, obs.LabeledSample{Label: layer, Value: float64(ns) / 1e9})
+	}
+	sort.Slice(out, func(a, b int) bool { return out[a].Label < out[b].Label })
+	return out
 }
 
 func (m *metrics) addSim(simSeconds, busySeconds float64) {

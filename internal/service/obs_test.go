@@ -3,9 +3,12 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"maps"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -271,5 +274,156 @@ func TestHeatMapIsStreamFold(t *testing.T) {
 	fresh.fold(j.ID, events[len(events)-1])
 	if f := fresh.snapshot(); len(f.Jobs) != 0 {
 		t.Fatalf("folding the terminal event left rows %+v", f.Jobs)
+	}
+}
+
+// TestJobLayerSecondsMatchTrace pins dimd_job_layer_seconds_total to the
+// jobs' own traces: after a scenario job and a sched job, each layer's
+// counter delta is the summed duration of that layer's spans in the two
+// traces, the layer sets agree both ways, and a cache hit of the first job
+// adds nothing. The coordinator leg shows that the spans a worker ships back
+// stay in the stitched trace and out of the counter.
+func TestJobLayerSecondsMatchTrace(t *testing.T) {
+	run := func(t *testing.T, c *Client, spec json.RawMessage) JobView {
+		t.Helper()
+		v, err := c.Submit(Request{Spec: spec})
+		if err != nil {
+			t.Fatalf("submit: %v", err)
+		}
+		fin, err := c.Wait(context.Background(), v.ID)
+		if err != nil || fin.State != StateDone {
+			t.Fatalf("wait %s: %v (state %s)", v.ID, err, fin.State)
+		}
+		return fin
+	}
+
+	t.Run("single-node", func(t *testing.T) {
+		_, c := newTestService(t, Config{Workers: 1, DefaultScale: 1})
+		before := layerSeconds(t, c)
+		first := run(t, c, tinySpec("layers", 3, 71))
+		second := run(t, c, schedSpec("layers-sched"))
+		after := layerSeconds(t, c)
+		want, _ := traceLayers(t, c, first.ID, second.ID)
+		for _, layer := range []string{"lifecycle.run", "scenario.step", "sched.build"} {
+			if _, ok := want[layer]; !ok {
+				t.Errorf("traces have no %s span; saw %v", layer, want)
+			}
+		}
+		checkLayerDelta(t, before, after, want)
+
+		if hit := run(t, c, tinySpec("layers", 3, 71)); !hit.CacheHit {
+			t.Fatalf("resubmit of %s was not a cache hit", first.ID)
+		}
+		if got := layerSeconds(t, c); !maps.Equal(got, after) {
+			t.Errorf("cache hit moved the layer counter:\n got %v\nwant %v", got, after)
+		}
+	})
+
+	t.Run("coordinator", func(t *testing.T) {
+		_, w := newWorkerService(t)
+		_, c := newCoordinatorService(t, Config{Workers: 1, DefaultScale: 1}, w.URL)
+		before := layerSeconds(t, c)
+		v := run(t, c, tinySpec("layers-clu", 6, 73))
+		if v.Degraded {
+			t.Fatal("job degraded to local shards: no worker spans to exclude")
+		}
+		after := layerSeconds(t, c)
+		want, imported := traceLayers(t, c, v.ID)
+		if imported["scenario.step"] == 0 {
+			t.Fatalf("stitched trace carries no worker scenario.step span; imported %v", imported)
+		}
+		checkLayerDelta(t, before, after, want)
+	})
+}
+
+// layerSeconds scrapes the per-layer job time series from /metrics.
+func layerSeconds(t *testing.T, c *Client) map[string]float64 {
+	t.Helper()
+	text, err := c.Metrics()
+	if err != nil {
+		t.Fatalf("metrics: %v", err)
+	}
+	const prefix = `dimd_job_layer_seconds_total{layer="`
+	out := map[string]float64{}
+	for _, line := range strings.Split(text, "\n") {
+		rest, ok := strings.CutPrefix(line, prefix)
+		if !ok {
+			continue
+		}
+		layer, val, ok := strings.Cut(rest, `"} `)
+		if !ok {
+			t.Fatalf("malformed layer sample %q", line)
+		}
+		v, err := strconv.ParseFloat(val, 64)
+		if err != nil {
+			t.Fatalf("layer sample %q: %v", line, err)
+		}
+		out[layer] = v
+	}
+	return out
+}
+
+// traceLayers sums the jobs' Chrome traces by "<cat>.<name>" over complete
+// lifecycle, scenario and sched spans, leaving out the sampled round-NNNN
+// spans. own holds the spans on the job's own track (pid 1); imported those
+// stitched in from cluster workers (pid >= 2).
+func traceLayers(t *testing.T, c *Client, ids ...string) (own, imported map[string]float64) {
+	t.Helper()
+	own, imported = map[string]float64{}, map[string]float64{}
+	for _, id := range ids {
+		raw, err := c.Trace(id)
+		if err != nil {
+			t.Fatalf("trace %s: %v", id, err)
+		}
+		var doc struct {
+			TraceEvents []struct {
+				Name string  `json:"name"`
+				Cat  string  `json:"cat"`
+				Ph   string  `json:"ph"`
+				PID  int     `json:"pid"`
+				Dur  float64 `json:"dur"`
+			} `json:"traceEvents"`
+		}
+		if err := json.Unmarshal(raw, &doc); err != nil {
+			t.Fatalf("trace %s: %v", id, err)
+		}
+		for _, e := range doc.TraceEvents {
+			if e.Ph != "X" || strings.HasPrefix(e.Name, "round-") ||
+				(e.Cat != "lifecycle" && e.Cat != "scenario" && e.Cat != "sched") {
+				continue
+			}
+			sum := own
+			if e.PID != 1 {
+				sum = imported
+			}
+			sum[e.Cat+"."+e.Name] += e.Dur / 1e6
+		}
+	}
+	return own, imported
+}
+
+// checkLayerDelta asserts that the counter moved by exactly want: the same
+// layer set both ways, and each delta equal to the traced seconds up to the
+// trace export's float rounding.
+func checkLayerDelta(t *testing.T, before, after, want map[string]float64) {
+	t.Helper()
+	for layer, v := range after {
+		d := v - before[layer]
+		if d == 0 {
+			continue
+		}
+		w, ok := want[layer]
+		if !ok {
+			t.Errorf("counter layer %s moved by %gs with no span in the traces", layer, d)
+			continue
+		}
+		if math.Abs(d-w) > 1e-9 {
+			t.Errorf("layer %s: counter moved %.9fs, traces sum %.9fs", layer, d, w)
+		}
+	}
+	for layer := range want {
+		if after[layer]-before[layer] == 0 {
+			t.Errorf("traced layer %s is missing from the counter", layer)
+		}
 	}
 }

@@ -627,10 +627,11 @@ func (s *Service) runJob(j *Job) {
 }
 
 // finish publishes a running job's terminal record fin after everything
-// job-scoped: the resume log goes, fin is journaled, and judge (the SLO check
-// or the panic dump) writes any incident it triggers — so a client that sees
-// the job finished never finds its resume log and always finds its incident
-// and its whole trace.
+// job-scoped: the resume log goes, fin is journaled, judge (the SLO check or
+// the panic dump) writes any incident it triggers, and the job's span times
+// are folded into /metrics — so a client that sees the job finished never
+// finds its resume log and always finds its incident, its whole trace and its
+// layer times.
 // A panic after publication (say in a stream hook) keeps the first outcome.
 func (s *Service) finish(j *Job, fin *journalRecord, art *Artifact, judge func(*journalRecord)) {
 	s.dropResume(j)
@@ -644,6 +645,10 @@ func (s *Service) finish(j *Job, fin *journalRecord, art *Artifact, judge func(*
 
 	j.mu.Lock()
 	if j.state == StateRunning {
+		// judge has closed the finalize span, so the job's own spans are
+		// complete; folding under the state check counts them once even if
+		// a panic after publication re-enters finish.
+		s.met.foldLayers(j.trace)
 		j.state, j.err = fin.Op, fin.Error
 		j.finished = fin.At
 		j.cancelFunc = nil

@@ -118,9 +118,9 @@ func (s *Service) handleShardRun(w http.ResponseWriter, r *http.Request) {
 		cut   bool
 	)
 	// Trace context propagated on the dispatch: the worker records its own
-	// shard spans (returned on the terminal line) and folds telemetry into
-	// its local heat map under "<job>/s<shard>" so the coordinator's merged
-	// frame covers the whole sharded fleet. A shard has no job stream, so it
+	// shard and engine spans (returned on the terminal line) and folds
+	// telemetry into its local heat map under "<job>/s<shard>" so the
+	// coordinator's merged frame covers the whole sharded fleet. A shard has no job stream, so it
 	// folds straight into the map, and its end drops the row.
 	tr := obs.NewTracer()
 	spShard := tr.Start(fmt.Sprintf("shard-%02d", req.Shard.ID), "shard", req.Shard.ID)
@@ -134,6 +134,7 @@ func (s *Service) handleShardRun(w http.ResponseWriter, r *http.Request) {
 		PropStore:      s.props,
 		Context:        ctx,
 		TelemetryEvery: s.cfg.TelemetryEvery,
+		Trace:          tr,
 		OnTelemetry: func(sm scenario.MachineSample) {
 			if heatKey != "" {
 				s.heat.fold(heatKey, Event{Type: "telemetry", Machine: sampleEvent(sm)})

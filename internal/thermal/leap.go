@@ -38,16 +38,8 @@ import (
 	"math"
 	"sync/atomic"
 
-	"repro/internal/obs"
 	"repro/internal/units"
 )
-
-// phaseLadderBuild accumulates the wall time spent constructing propagator
-// ladder rungs (base builds and repeated squarings). It wraps only the build
-// loop — never the per-step kernel or the leap application path — so the
-// disabled cost is one atomic load per ladder miss, and the hot loop's
-// timings are untouched either way.
-var phaseLadderBuild = obs.RegisterPhase("thermal.ladder_build")
 
 const (
 	// leapTol is the per-chunk ceiling on the frozen-power temperature
@@ -308,8 +300,6 @@ func (n *Network) level(e *propEntry, lvl int) *propLevel {
 	if j > 0 {
 		src = e.levels[j-1].Load()
 	}
-	bt := phaseLadderBuild.Start()
-	defer phaseLadderBuild.StopN(bt, int64(lvl-j+1))
 	for ; j <= lvl; j++ {
 		l := &propLevel{}
 		if j == 0 {

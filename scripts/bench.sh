@@ -32,7 +32,8 @@ else
     go test -run '^$' -bench 'Figure|Table|Validation|Ablation|Extension|SimulatorSteadySecond' \
         -benchmem -benchtime "$HARNESS_BENCHTIME" . | tee "$raw"
     # Fleet scenario engine: one iteration runs a whole scaled fleet, under
-    # both the leap (default) and exact integrators.
+    # both the leap (default) and exact integrators, and the leap run once
+    # more with a span tracer (BenchmarkFleetScenarioTraced).
     go test -run '^$' -bench 'FleetScenario' \
         -benchmem -benchtime "$HARNESS_BENCHTIME" ./internal/scenario/ | tee -a "$raw"
     # Mega fleet: the engine tiling fleet-diurnal to 100k machines against
@@ -62,14 +63,6 @@ awk '
             if ($i == "ns/op") { ns[name] = $(i - 1); found = 1 }
             if ($i == "allocs/op") { allocs[name] = $(i - 1) }
             if ($i == "ns/machine") { nsmach[name] = $(i - 1) }
-            if ($i ~ /-ms\/run$/) {
-                # Phase-profiler columns ("scenario.step-ms/run") from the
-                # profiled fleet benchmark, folded into a phases_ms object.
-                phase = $i
-                sub(/-ms\/run$/, "", phase)
-                sep = (name in phases) ? ", " : ""
-                phases[name] = phases[name] sep sprintf("\"%s\": %s", phase, $(i - 1))
-            }
         }
         if (!found) next
         if (!(name in allocs)) allocs[name] = "null"
@@ -81,7 +74,6 @@ awk '
             key = order[i]
             extra = ""
             if (key in nsmach) extra = extra sprintf(", \"ns_machine\": %s", nsmach[key])
-            if (key in phases) extra = extra sprintf(", \"phases_ms\": {%s}", phases[key])
             printf "  \"%s\": {\"ns_op\": %s, \"allocs_op\": %s%s}%s\n", \
                 key, ns[key], allocs[key], extra, (i < n ? "," : "")
         }
