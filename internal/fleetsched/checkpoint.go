@@ -41,12 +41,14 @@ type Checkpoint struct {
 }
 
 // machineDigests returns every node's machine.State digest, computed on the
-// run's workers. It is called at a round barrier, where no machine advances,
-// and each worker reads only the machines it claims, so the fan-out is
-// race-free and its result is the same at any jobs.
+// run's workers into each node's reused state. It is called at a round
+// barrier, where no machine advances, and each worker touches only the nodes
+// it claims, so the fan-out is race-free and its result is the same at any
+// jobs.
 func machineDigests(jobs int, nodes []*node) []string {
 	return runner.Map(jobs, nodes, func(_ int, n *node) string {
-		return n.m.Checkpoint().Digest()
+		n.m.CheckpointInto(&n.state)
+		return n.state.Digest()
 	})
 }
 

@@ -72,6 +72,8 @@ type node struct {
 	tel     machine.Telemetry
 	ewma    float64
 	injFrac float64
+	// state is the machine's checkpoint, refilled at each digest barrier.
+	state machine.State
 
 	// Scheduled-job state.
 	jobs         []*Job

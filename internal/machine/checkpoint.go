@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/digest"
+	"repro/internal/thermal"
 	"repro/internal/units"
 )
 
@@ -78,29 +79,38 @@ type ThreadState struct {
 // reproduces exactly; for fully charged occupancy numbers read Telemetry at
 // a barrier first, as the fleet engine does.
 func (m *Machine) Checkpoint() State {
-	st := State{
-		Now:         m.Now(),
-		ChipEpoch:   m.Chip.TotalEpoch(),
-		EventsFired: m.Clock.Fired(),
-		EnergyJ:     float64(m.Energy.Energy()),
-		EnergySpan:  m.Energy.Span(),
-		RNG:         m.RNG.State(),
-		Injections:  m.Sched.TotalInjections,
-		Steals:      m.Sched.Steals,
-		QueueLen:    m.Sched.QueueLen(),
+	var st State
+	m.CheckpointInto(&st)
+	return st
+}
+
+// CheckpointInto is Checkpoint refilling st in place: it reuses st's slices
+// where they are large enough, so a caller that checkpoints the same machine
+// at every barrier allocates its state once. The result equals Checkpoint's.
+func (m *Machine) CheckpointInto(st *State) {
+	st.Now = m.Now()
+	st.ChipEpoch = m.Chip.TotalEpoch()
+	st.EventsFired = m.Clock.Fired()
+	st.EnergyJ = float64(m.Energy.Energy())
+	st.EnergySpan = m.Energy.Span()
+	st.RNG = m.RNG.State()
+	st.Injections = m.Sched.TotalInjections
+	st.Steals = m.Sched.Steals
+	st.QueueLen = m.Sched.QueueLen()
+
+	net := m.Net.Net
+	st.NodeTempsC = refill(st.NodeTempsC, net.NumNodes())
+	for i := range st.NodeTempsC {
+		st.NodeTempsC[i] = float64(net.Temp(thermal.NodeID(i)))
 	}
-	temps := m.Net.Net.Temps(nil)
-	st.NodeTempsC = make([]float64, len(temps))
-	for i, t := range temps {
-		st.NodeTempsC[i] = float64(t)
-	}
-	st.TempIntegralCs = append([]float64(nil), m.tempIntegral...)
+	st.TempIntegralCs = append(st.TempIntegralCs[:0], m.tempIntegral...)
 	cores := m.cfg.Model.NumCores * m.cfg.SMTContexts
-	st.CoreBusy = make([]units.Time, cores)
-	st.CoreInjected = make([]units.Time, cores)
+	st.CoreBusy = refill(st.CoreBusy, cores)
+	st.CoreInjected = refill(st.CoreInjected, cores)
 	for c := 0; c < cores; c++ {
 		st.CoreBusy[c], st.CoreInjected[c] = m.Sched.Core(c)
 	}
+	st.Threads = st.Threads[:0]
 	for _, th := range m.Sched.Threads() {
 		st.Threads = append(st.Threads, ThreadState{
 			ID:        th.ID,
@@ -112,7 +122,15 @@ func (m *Machine) Checkpoint() State {
 			CPUTime:   th.CPUTime,
 		})
 	}
-	return st
+}
+
+// refill returns s resized to n, reusing its backing array when it is large
+// enough.
+func refill[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // Digest returns the state's content hash: sha256 over its fixed binary

@@ -119,6 +119,49 @@ func TestCheckpointSeesProgress(t *testing.T) {
 	}
 }
 
+// CheckpointInto refills one State in place, here alternately from two
+// machines of different widths while one of them admits a thread per
+// barrier, so the thread ledger (and the per-core ledgers) both grow and
+// shrink between refills. Each refilled state must digest as a fresh
+// Checkpoint does and equal it field for field.
+func TestCheckpointIntoMatchesFresh(t *testing.T) {
+	narrow := buildBusy(t, 3)
+	cfg := DefaultConfig()
+	cfg.Seed = 4
+	cfg.Meter.Disabled = true
+	cfg.SMTContexts = 2
+	wide := New(cfg)
+
+	var st State
+	var ledger []int
+	check := func(m *Machine, barrier int) {
+		m.CheckpointInto(&st)
+		fresh := m.Checkpoint()
+		if st.Digest() != fresh.Digest() {
+			t.Fatalf("barrier %d: refilled digest differs from a fresh one:\n%s", barrier, diffState(fresh, st))
+		}
+		if !reflect.DeepEqual(st, fresh) {
+			t.Fatalf("barrier %d: refilled state differs from a fresh one:\n%s", barrier, diffState(fresh, st))
+		}
+		ledger = append(ledger, len(st.Threads))
+	}
+	for i := 0; i < 4; i++ {
+		wide.Admit(workload.FiniteBurn(1), sched.SpawnConfig{Name: fmt.Sprintf("burn-%d", i), ProcessID: 10 + i})
+		wide.RunFor(100 * units.Millisecond)
+		narrow.RunFor(100 * units.Millisecond)
+		check(wide, i)
+		check(narrow, i)
+	}
+	grew, shrank := false, false
+	for i := 1; i < len(ledger); i++ {
+		grew = grew || ledger[i] > ledger[i-1]
+		shrank = shrank || ledger[i] < ledger[i-1]
+	}
+	if !grew || !shrank {
+		t.Fatalf("thread ledger lengths %v did not both grow and shrink", ledger)
+	}
+}
+
 // digestFixture is a fixed State with every slice non-empty, so each field
 // and each slice element is reachable by TestDigestCoversEveryField.
 func digestFixture() State {

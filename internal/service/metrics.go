@@ -100,6 +100,7 @@ func (m *metrics) init(s *Service) {
 	intGauge("dimd_workers", "concurrent job executors",
 		func() int64 { return int64(s.cfg.Workers) })
 	intGauge("dimd_jobs_inflight", "jobs currently executing", m.inFlight.Load)
+	intGauge("dimd_stream_retained_events", "events held in the stream rings of tracked jobs", s.retainedEvents)
 
 	m.submitted = r.Counter("dimd_jobs_submitted_total", "jobs admitted (including cache hits)")
 	m.rejected = r.Counter("dimd_jobs_rejected_total", "submissions refused with 429 (queue full)")

@@ -94,7 +94,7 @@ func (s *Service) recoverFromJournal(rep storeReplay) {
 			name:   name,
 			policy: rj.rec.Policy,
 			scale:  rj.rec.Scale,
-			stream: newStream(s.cfg.MaxEvents, s.fold),
+			stream: s.jobStream(),
 		}
 		j.submitted = rj.rec.At
 		j.started = rj.started

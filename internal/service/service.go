@@ -57,7 +57,9 @@ type Config struct {
 	QueueDepth int
 	// CacheBytes budgets the content-addressed result cache. Default: 64 MiB.
 	CacheBytes int64
-	// MaxEvents bounds each job's telemetry ring. Default: 2048.
+	// MaxEvents bounds each job's telemetry ring, and the events that all
+	// finished jobs together keep for replay (the most recently finished
+	// job always keeps its whole ring). Default: 2048.
 	MaxEvents int
 	// MaxJobs bounds retained terminal job records (oldest evicted first;
 	// live jobs are always retained). Default: 1024.
@@ -151,6 +153,8 @@ type Service struct {
 	met   metrics
 	heat  heatState
 	log   *slog.Logger
+	// hist is the event budget finished jobs' streams share.
+	hist history
 	// store is the durable layer; nil for an in-memory daemon. All journal
 	// and checkpoint writes funnel through Service.journal / execute's
 	// checkpoint hooks, which tolerate a nil store.
@@ -213,6 +217,7 @@ func Open(cfg Config) (*Service, error) {
 		jobs:      map[string]*Job{},
 		queue:     make(chan *Job, cfg.QueueDepth),
 	}
+	s.hist.max = cfg.MaxEvents
 	s.met.init(s)
 	if cfg.FlightRecords > 0 {
 		s.rec = obs.NewFlightRecorder(cfg.FlightRecords)
@@ -341,7 +346,7 @@ func (s *Service) Submit(req Request) (*Job, error) {
 		policy: r.policy,
 		scale:  r.scale,
 		res:    r,
-		stream: newStream(s.cfg.MaxEvents, s.fold),
+		stream: s.jobStream(),
 		trace:  tr,
 	}
 	j.submitted = time.Now()
@@ -431,6 +436,7 @@ func (s *Service) track(j *Job) {
 	toDrop := len(s.order) - s.cfg.MaxJobs
 	for _, id := range s.order {
 		if toDrop > 0 && s.jobs[id].Terminal() {
+			s.hist.drop(s.jobs[id].stream)
 			delete(s.jobs, id)
 			toDrop--
 			continue

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"slices"
 	"sync"
 
 	"repro/internal/fleetsched"
@@ -94,8 +95,27 @@ func (e Event) terminal() bool { return e.Type == "done" || e.Type == "error" }
 // emit publishes events on j's stream: the only way a job event is made.
 // The stream assigns each its Seq and, under its lock, runs s.fold on it, so
 // every view derived from a job's events sees them in Seq order; the
-// terminal event closes the stream.
+// terminal event closes the stream and hands its history to s.hist.
 func (s *Service) emit(j *Job, es ...Event) { j.stream.append(es...) }
+
+// jobStream makes a job's stream: a ring of MaxEvents folded by s.fold whose
+// history, once the job finishes, counts against the daemon's one budget.
+func (s *Service) jobStream() *stream {
+	st := newStream(s.cfg.MaxEvents, s.fold)
+	st.hist = &s.hist
+	return st
+}
+
+// retainedEvents sums the events held in every tracked job's ring.
+func (s *Service) retainedEvents() int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var n int64
+	for _, j := range s.jobs {
+		n += int64(j.stream.retained())
+	}
+	return n
+}
 
 // fold applies one job event to every view derived from job events: the
 // flight recorder's "stream" record, the heat map (which drops the job's row
@@ -131,6 +151,9 @@ type stream struct {
 	// assigned (Service.fold for a job's stream). It runs under the stream
 	// lock.
 	fold func(Event)
+	// hist, when non-nil, receives the stream's history once its terminal
+	// event closes it, after the stream lock is released.
+	hist *history
 }
 
 func newStream(max int, fold func(Event)) *stream {
@@ -149,10 +172,19 @@ func newStream(max int, fold func(Event)) *stream {
 // stream is a no-op (a late hook firing after cancellation must not
 // resurrect the stream).
 func (st *stream) append(es ...Event) {
+	if held := st.appendLocked(es); held >= 0 && st.hist != nil {
+		st.hist.add(st, held)
+	}
+}
+
+// appendLocked is append under the stream lock. When the events close the
+// stream it returns the events the ring still holds before the terminal
+// event, and -1 otherwise.
+func (st *stream) appendLocked(es []Event) int {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.closed || len(es) == 0 {
-		return
+		return -1
 	}
 	for _, e := range es {
 		e.Seq = st.next
@@ -173,6 +205,30 @@ func (st *stream) append(es ...Event) {
 	}
 	close(st.notify)
 	st.notify = make(chan struct{})
+	if st.closed {
+		return st.next - st.start - 1
+	}
+	return -1
+}
+
+// cut drops a closed stream's retained events before its terminal event.
+// The terminal event keeps its Seq and moves to a fresh ring of one, so the
+// dropped events and their payloads become garbage; a reader from any
+// earlier Seq sees them as evicted, exactly as a slow reader would.
+func (st *stream) cut() {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	last := st.ring[(st.next-1)%st.max]
+	st.ring = []Event{last}
+	st.max = 1
+	st.start = st.next - 1
+}
+
+// retained returns the number of events the ring holds.
+func (st *stream) retained() int {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.next - st.start
 }
 
 // Len returns the number of events emitted so far (including evicted ones).
@@ -216,4 +272,56 @@ func (st *stream) wait(seq int) <-chan struct{} {
 		return ch
 	}
 	return st.notify
+}
+
+// history is the one event budget that finished jobs share: a FIFO of closed
+// streams in finishing order, each with the events it retains before its
+// terminal event. While those sum to more than max, the oldest stream is cut
+// to its terminal event alone, so a daemon's memory follows its live jobs
+// and its most recently finished ones, not how many jobs it has finished.
+// The newest finished stream is never cut.
+//
+// Lock order: the service lock, then mu, then a stream's lock; add runs
+// after the finishing stream's lock is released, so no two stream locks
+// nest.
+type history struct {
+	mu   sync.Mutex
+	max  int
+	fifo []finished
+	held int // sum of fifo's n
+}
+
+// finished is one closed stream in the history FIFO.
+type finished struct {
+	st *stream
+	n  int // events retained before the terminal event
+}
+
+// add enters a just-closed stream holding n events before its terminal
+// event, then cuts the oldest streams until the FIFO is within budget.
+func (h *history) add(st *stream, n int) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.fifo = append(h.fifo, finished{st, n})
+	h.held += n
+	for h.held > h.max && len(h.fifo) > 1 {
+		h.fifo[0].st.cut()
+		h.held -= h.fifo[0].n
+		h.fifo[0] = finished{}
+		h.fifo = h.fifo[1:]
+	}
+}
+
+// drop removes a stream whose job record was evicted, so the budget neither
+// counts it nor keeps it reachable.
+func (h *history) drop(st *stream) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	for i, f := range h.fifo {
+		if f.st == st {
+			h.held -= f.n
+			h.fifo = slices.Delete(h.fifo, i, i+1)
+			return
+		}
+	}
 }
